@@ -27,6 +27,7 @@ package llm
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"dataai/internal/token"
@@ -140,10 +141,15 @@ type Usage struct {
 	LatencyMS        float64
 }
 
-// usageMeter is the shared accounting primitive.
+// usageMeter is the shared accounting primitive. Concurrent workers
+// record in whatever order they finish, so the float tallies (cost and
+// latency) are kept as exact sums and rounded once per snapshot: the
+// snapshot is the correctly rounded total whatever the record order,
+// where plain float addition would differ in the last bits between runs.
 type usageMeter struct {
-	mu sync.Mutex
-	u  Usage
+	mu        sync.Mutex
+	u         Usage
+	cost, lat exactSum
 }
 
 func (m *usageMeter) record(r Response) {
@@ -151,21 +157,86 @@ func (m *usageMeter) record(r Response) {
 	m.u.Calls++
 	m.u.PromptTokens += int64(r.PromptTokens)
 	m.u.CompletionTokens += int64(r.CompletionTokens)
-	m.u.CostUSD += r.CostUSD
-	m.u.LatencyMS += r.LatencyMS
+	m.cost.add(r.CostUSD)
+	m.lat.add(r.LatencyMS)
 	m.mu.Unlock()
 }
 
 func (m *usageMeter) snapshot() Usage {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.u
+	u := m.u
+	u.CostUSD = m.cost.value()
+	u.LatencyMS = m.lat.value()
+	return u
 }
 
 func (m *usageMeter) reset() {
 	m.mu.Lock()
 	m.u = Usage{}
+	m.cost, m.lat = exactSum{}, exactSum{}
 	m.mu.Unlock()
+}
+
+// exactSum accumulates float64s without rounding error: partials holds
+// non-overlapping components, in increasing magnitude, whose exact sum
+// is the exact sum of everything added (Shewchuk's algorithm, as in
+// Python's math.fsum). The partials stay few for sums of like-signed,
+// like-sized values such as costs and latencies.
+type exactSum struct{ partials []float64 }
+
+func (s *exactSum) add(x float64) {
+	i := 0
+	for _, y := range s.partials {
+		if math.Abs(x) < math.Abs(y) {
+			x, y = y, x
+		}
+		hi := x + y
+		lo := y - (hi - x)
+		if lo != 0 {
+			s.partials[i] = lo
+			i++
+		}
+		x = hi
+	}
+	s.partials = s.partials[:i]
+	if x != 0 {
+		s.partials = append(s.partials, x)
+	}
+}
+
+// value is the exact sum rounded once to the nearest float64 (ties to
+// even), which makes it independent of the order of the adds.
+func (s *exactSum) value() float64 {
+	p := s.partials
+	n := len(p)
+	if n == 0 {
+		return 0
+	}
+	n--
+	hi := p[n]
+	lo := 0.0
+	for n > 0 {
+		x := hi
+		n--
+		y := p[n]
+		hi = x + y
+		lo = y - (hi - x)
+		if lo != 0 {
+			break
+		}
+	}
+	// Round half to even correctly: when the rounding above was a tie
+	// and the next partial pushes past it, round away from hi.
+	if n > 0 && ((lo < 0 && p[n-1] < 0) || (lo > 0 && p[n-1] > 0)) {
+		y := float64(lo * 2) // the conversion keeps hi + lo*2 from fusing
+		x := hi + y
+		//lint:ignore floateq error-free transformation: the test is whether hi + 2*lo was exact, which only an exact compare can tell
+		if y == x-hi {
+			hi = x
+		}
+	}
+	return hi
 }
 
 // price computes a call's dollar cost under model m.

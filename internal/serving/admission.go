@@ -143,7 +143,7 @@ func (a *admitter) tally(tenant string) *tenantTally {
 // decide charges r against its tenant's bucket and returns how long the
 // router must hold the request (0 = deliver now) and whether it is
 // admitted at all. Rejections never charge the bucket.
-func (a *admitter) decide(now float64, r workload.Request) (delayMS float64, ok bool) {
+func (a *admitter) decide(now float64, r *workload.Request) (delayMS float64, ok bool) {
 	cost := float64(r.PromptTokens + r.OutputTokens)
 	b := a.bucket(r.Tenant)
 	b.refill(now)
@@ -192,7 +192,7 @@ func (a *admitter) delivered(now float64, tenant string) {
 	a.counter(now, tenant, "admitted")
 }
 
-func (a *admitter) reject(now float64, r workload.Request) {
+func (a *admitter) reject(now float64, r *workload.Request) {
 	a.tally(r.Tenant).rejected++
 	a.counter(now, r.Tenant, "rejected")
 }

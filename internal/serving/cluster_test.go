@@ -70,7 +70,7 @@ func TestRouterDeterministicAcrossInstanceAndWorkerCounts(t *testing.T) {
 func TestRouterTieBreakAtEqualScores(t *testing.T) {
 	// With identical live state (fresh idle instances) every policy must
 	// break ties deterministically toward the lowest eligible index.
-	noAffinity := workload.Request{ID: "r", PromptTokens: 100, OutputTokens: 10}
+	noAffinity := &workload.Request{ID: "r", PromptTokens: 100, OutputTokens: 10}
 	cases := []struct {
 		policy  RouterPolicy
 		exclude int
@@ -207,13 +207,15 @@ func TestCrashDropsAndReroutesInFlightSequences(t *testing.T) {
 	// The pool zeroes a sequence when it finishes, so capture the
 	// dropped state at drop time, not after the run.
 	dropped, droppedGen := 0, 0
-	a.onDrop = func(now float64, s *seqState) {
-		dropped++
-		droppedGen = s.generated
-		b.arrive(now, s) // immediate re-route for the test
+	a.onDrop = func(now float64, ss []*seqState) {
+		for _, s := range ss {
+			dropped++
+			droppedGen = s.generated
+			b.arrive(now, s) // immediate re-route for the test
+		}
 	}
 	req := workload.Request{ID: "r1", PromptTokens: 200, OutputTokens: 20, ArrivalMS: 0}
-	eng.At(0, func(now float64) { a.arrive(now, pool.get(req)) })
+	eng.At(0, func(now float64) { a.arrive(now, pool.get(&req)) })
 	// Prefill takes 10ms; crash at 30ms lands mid-decode.
 	eng.At(30, func(now float64) { a.crash(now) })
 	eng.Run()

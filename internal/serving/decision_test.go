@@ -43,7 +43,7 @@ func decisionTrace(t *testing.T, seed int64, n int) []workload.Request {
 func TestScoredCacheAwareMatchesLeastLoaded(t *testing.T) {
 	// The scored CacheAware fallback must agree with the historical
 	// direct argmin (leastLoaded) on arbitrary load vectors.
-	noAffinity := workload.Request{ID: "r", PromptTokens: 100, OutputTokens: 10}
+	noAffinity := &workload.Request{ID: "r", PromptTokens: 100, OutputTokens: 10}
 	loadSets := [][]int{
 		{0, 0, 0, 0}, {5, 3, 9, 3}, {7, 7, 7, 7}, {1, 0, 0, 2}, {9, 8, 7, 6},
 	}
@@ -67,7 +67,7 @@ func TestRankedInstanceOrder(t *testing.T) {
 	for i, l := range []int{5, 3, 9, 3} {
 		c.insts[i].load = l
 	}
-	r := workload.Request{ID: "r", PromptTokens: 100, OutputTokens: 10}
+	r := &workload.Request{ID: "r", PromptTokens: 100, OutputTokens: 10}
 	c.scoreInstances(0, r, -1)
 	// Scores 5,3,9,3 → ranks: 1, 3 (tie to lower index), 0, 2.
 	want := []int{1, 3, 0, 2}
@@ -86,7 +86,7 @@ func TestRankedInstanceOrder(t *testing.T) {
 }
 
 func TestRouteZeroAllocWhenDecisionsOff(t *testing.T) {
-	r := workload.Request{ID: "r", PrefixID: "p1", PromptTokens: 100, OutputTokens: 10}
+	r := &workload.Request{ID: "r", PrefixID: "p1", PromptTokens: 100, OutputTokens: 10}
 	for _, policy := range []RouterPolicy{RoundRobin, CacheAware, BreakerAware} {
 		c := newBareCluster(policy, 4)
 		allocs := testing.AllocsPerRun(200, func() {

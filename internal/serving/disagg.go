@@ -2,7 +2,6 @@ package serving
 
 import (
 	"fmt"
-	"sort"
 
 	"dataai/internal/obs"
 	"dataai/internal/sim"
@@ -43,36 +42,32 @@ func RunColocated(gpu GPUConfig, reqs []workload.Request, n int, opts Continuous
 	if n < 1 {
 		return nil, fmt.Errorf("%w: gpus %d", ErrConfig, n)
 	}
-	ordered := append([]workload.Request(nil), reqs...)
-	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].ArrivalMS < ordered[j].ArrivalMS })
+	ordered := arrivalOrder(reqs)
 
 	eng := sim.NewEngine()
 	pool := &seqPool{}
 	perInst := make([][]Result, n)
 	insts := make([]*instance, n)
-	shares := make([][]workload.Request, n)
 	for i := range insts {
 		i := i
 		shareOpts := opts
 		shareOpts.KV = nil // each GPU owns its cache
 		insts[i] = newInstance(i, gpu, shareOpts, eng, pool, func(_ float64, r Result) { perInst[i] = append(perInst[i], r) })
 	}
-	for i, r := range ordered {
-		shares[i%n] = append(shares[i%n], r)
-	}
-	for i, share := range shares {
+	// GPU i's round-robin share is every n-th request from the i-th.
+	for i := range insts {
 		i := i
-		scheduleArrivals(eng, gpu, share, insts[i], pool, func(r Result) { perInst[i] = append(perInst[i], r) })
+		scheduleArrivals(eng, gpu, ordered, i, n, insts[i], pool, func(r Result) { perInst[i] = append(perInst[i], r) })
 	}
 	eng.Run()
 
-	var all []Result
+	all := make([]Result, 0, len(ordered))
 	peak := 0
 	preemptions := 0
 	for i, inst := range insts {
 		for j := 0; j < inst.waiting.Len(); j++ {
 			s := inst.waiting.At(j)
-			perInst[i] = append(perInst[i], Result{Req: s.req, Rejected: true})
+			perInst[i] = append(perInst[i], Result{Req: s.src, Rejected: true})
 		}
 		all = append(all, perInst[i]...)
 		peak += inst.kv.PeakBlocks()
@@ -98,8 +93,7 @@ func RunDisaggregated(gpu GPUConfig, reqs []workload.Request, opts DisaggOpts) (
 	if opts.PrefillGPUs < 1 || opts.DecodeGPUs < 1 {
 		return nil, fmt.Errorf("%w: pool sizes %d/%d", ErrConfig, opts.PrefillGPUs, opts.DecodeGPUs)
 	}
-	ordered := append([]workload.Request(nil), reqs...)
-	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].ArrivalMS < ordered[j].ArrivalMS })
+	ordered := arrivalOrder(reqs)
 
 	eng := sim.NewEngine()
 	perPool := make([][]Result, opts.DecodeGPUs)
@@ -141,46 +135,44 @@ func RunDisaggregated(gpu GPUConfig, reqs []workload.Request, opts DisaggOpts) (
 			p.arrive(now, job)
 		})
 	}
-	for _, r := range ordered {
-		r := r
-		eng.At(r.ArrivalMS, func(now float64) {
-			// Earliest-available prefill GPU.
-			g := 0
-			for i := 1; i < len(prefillFree); i++ {
-				if prefillFree[i] < prefillFree[g] {
-					g = i
-				}
+	eng.Stream(len(ordered), func(i int) float64 { return ordered[i].ArrivalMS }, func(now float64, k uint64) {
+		r := &ordered[k]
+		// Earliest-available prefill GPU.
+		g := 0
+		for i := 1; i < len(prefillFree); i++ {
+			if prefillFree[i] < prefillFree[g] {
+				g = i
 			}
-			start := now
-			if prefillFree[g] > start {
-				start = prefillFree[g]
-			}
-			end := start + gpu.prefillMS(r.PromptTokens)
-			prefillFree[g] = end
-			transfer := float64(r.PromptTokens) * opts.TransferMSPerToken
-			if opts.OverlapTransfer {
-				transfer = 0 // streamed layer-wise during prefill
-			}
-			job := decodeJob{req: r, firstToken: end, readyMS: end + transfer}
-			if tr := opts.Trace; tr != nil {
-				// The prefill pool's schedule is fully decided here, so its
-				// spans are recorded now with their (future) logical times;
-				// the exporter's (time, seq) sort puts them in place.
-				gSpan := tr.Begin(start, fmt.Sprintf("prefill%d", g), obs.CatGPU, "prefill", 0)
-				tr.End(end, gSpan)
-				job.root = tr.Begin(now, reqTrack(r), obs.CatRequest, "request", 0)
-				q := tr.Begin(now, reqTrack(r), obs.CatRequest, "queue", job.root)
-				tr.End(start, q)
-				p := tr.Begin(start, reqTrack(r), obs.CatRequest, "prefill", job.root)
-				tr.End(end, p)
-				job.transfer = tr.Begin(end, reqTrack(r), obs.CatRequest, "transfer", job.root)
-			}
-			deliver(job, 0)
-		})
-	}
+		}
+		start := now
+		if prefillFree[g] > start {
+			start = prefillFree[g]
+		}
+		end := start + gpu.prefillMS(r.PromptTokens)
+		prefillFree[g] = end
+		transfer := float64(r.PromptTokens) * opts.TransferMSPerToken
+		if opts.OverlapTransfer {
+			transfer = 0 // streamed layer-wise during prefill
+		}
+		job := decodeJob{req: r, firstToken: end, readyMS: end + transfer}
+		if tr := opts.Trace; tr != nil {
+			// The prefill pool's schedule is fully decided here, so its
+			// spans are recorded now with their (future) logical times;
+			// the exporter's (time, seq) sort puts them in place.
+			gSpan := tr.Begin(start, fmt.Sprintf("prefill%d", g), obs.CatGPU, "prefill", 0)
+			tr.End(end, gSpan)
+			job.root = tr.Begin(now, reqTrack(r), obs.CatRequest, "request", 0)
+			q := tr.Begin(now, reqTrack(r), obs.CatRequest, "queue", job.root)
+			tr.End(start, q)
+			p := tr.Begin(start, reqTrack(r), obs.CatRequest, "prefill", job.root)
+			tr.End(end, p)
+			job.transfer = tr.Begin(end, reqTrack(r), obs.CatRequest, "transfer", job.root)
+		}
+		deliver(job, 0)
+	})
 	eng.Run()
 
-	var results []Result
+	results := make([]Result, 0, len(ordered))
 	peak := 0
 	for i, pool := range pools {
 		for _, d := range pool.waiting {
@@ -326,7 +318,7 @@ func (di *decodeInstance) endIter(now float64) {
 
 // decodeJob is a prefilled sequence in flight to the decode pool.
 type decodeJob struct {
-	req        workload.Request
+	req        *workload.Request // into the run's arrival-ordered trace
 	firstToken float64
 	readyMS    float64
 	// root and transfer are the request's lifecycle spans when tracing

@@ -88,9 +88,10 @@ type instance struct {
 
 	// onFinish receives every completed sequence's Result.
 	onFinish func(now float64, r Result)
-	// onDrop receives sequences lost to a crash, for the cluster router
-	// to re-route; nil means standalone runs, which never crash.
-	onDrop func(now float64, s *seqState)
+	// onDrop receives the sequences lost to a crash, in drop order, for
+	// the cluster router to re-route; nil means standalone runs, which
+	// never crash.
+	onDrop func(now float64, dropped []*seqState)
 }
 
 // newInstance builds an idle instance on eng. A nil opts.KV gets a
@@ -603,9 +604,9 @@ func (in *instance) crash(now float64) {
 		// The reroute hop spans detection delay + routing; it closes when
 		// the sequence arrives at its next instance.
 		in.tracePhase(now, s, "reroute")
-		if in.onDrop != nil {
-			in.onDrop(now, s)
-		}
+	}
+	if in.onDrop != nil && len(dropped) > 0 {
+		in.onDrop(now, dropped)
 	}
 	if in.trace != nil {
 		in.traceDepth(now)
@@ -630,16 +631,21 @@ func (in *instance) setSlowdown(factor float64) {
 	in.slow = factor
 }
 
-// scheduleArrivals schedules one engine event per request, in stable
-// arrival order, delivering each to inst: requests whose footprint can
-// never fit are rejected at arrival, mirroring the historical loop's
-// ingest check. reqs must already be sorted by ArrivalMS (stable). One
-// shared ArgHandler carries the request index, so scheduling n arrivals
-// costs one closure, not n.
-func scheduleArrivals(eng *sim.Engine, gpu GPUConfig, reqs []workload.Request, inst *instance, pool *seqPool, reject func(Result)) {
+// scheduleArrivals streams the requests reqs[first], reqs[first+stride],
+// ... to inst, one engine event each in arrival order: requests whose
+// footprint can never fit are rejected at arrival, mirroring the
+// historical loop's ingest check. reqs must already be in arrival order
+// (arrivalOrder). The arrivals go through sim.Engine.Stream, so the
+// queue holds one pending arrival rather than the whole trace, and one
+// shared ArgHandler carries the position in the stream.
+func scheduleArrivals(eng *sim.Engine, gpu GPUConfig, reqs []workload.Request, first, stride int, inst *instance, pool *seqPool, reject func(Result)) {
 	capacityTokens := inst.kv.Capacity() * gpu.BlockSize
-	deliver := func(now float64, i uint64) {
-		r := reqs[i]
+	n := 0
+	if first < len(reqs) {
+		n = (len(reqs) - first + stride - 1) / stride
+	}
+	deliver := func(now float64, k uint64) {
+		r := &reqs[first+int(k)*stride]
 		footprint := r.PromptTokens + r.OutputTokens
 		if footprint > capacityTokens || footprint > gpu.MaxSeqLen {
 			traceRejectArrival(inst.trace, now, r)
@@ -648,7 +654,5 @@ func scheduleArrivals(eng *sim.Engine, gpu GPUConfig, reqs []workload.Request, i
 		}
 		inst.arrive(now, pool.get(r))
 	}
-	for i := range reqs {
-		eng.AtArg(reqs[i].ArrivalMS, deliver, uint64(i))
-	}
+	eng.Stream(n, func(k int) float64 { return reqs[first+k*stride].ArrivalMS }, deliver)
 }

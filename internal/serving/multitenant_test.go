@@ -20,12 +20,12 @@ func TestSeqRingRemoveAt(t *testing.T) {
 		var q seqRing
 		// Rotate the head: push/pop rot placeholders.
 		for i := 0; i < rot; i++ {
-			q.PushBack(pool.get(workload.Request{}))
+			q.PushBack(pool.get(&workload.Request{}))
 			pool.put(q.PopFront())
 		}
 		var model []*seqState
 		for i := 0; i < 9; i++ {
-			s := pool.get(workload.Request{ID: fmt.Sprintf("s%d", i)})
+			s := pool.get(&workload.Request{ID: fmt.Sprintf("s%d", i)})
 			q.PushBack(s)
 			model = append(model, s)
 		}
@@ -56,8 +56,8 @@ func TestSeqRingRemoveAt(t *testing.T) {
 	}
 }
 
-func admitReq(tenant string) workload.Request {
-	return workload.Request{Tenant: tenant, PromptTokens: 30, OutputTokens: 30} // cost 60
+func admitReq(tenant string) *workload.Request {
+	return &workload.Request{Tenant: tenant, PromptTokens: 30, OutputTokens: 30} // cost 60
 }
 
 func TestAdmitterReject(t *testing.T) {

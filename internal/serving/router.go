@@ -199,6 +199,15 @@ type cluster struct {
 	// rankBuf is scratch for ranking candidates under forcing,
 	// allocated on first use (forced replays only).
 	rankBuf []int
+
+	// dropped holds crash-dropped sequences awaiting their reroute, in
+	// drop order. Each crash schedules one rerouteH event, a constant
+	// detection delay later, whose argument packs the crashed instance
+	// and how many sequences it dropped; the events therefore fire in
+	// crash order and each pops its own sequences off the FIFO's head.
+	// A crash reroute allocates nothing.
+	dropped  seqRing
+	rerouteH sim.ArgHandler
 }
 
 // candScore is one instance's standing in a single routing decision:
@@ -227,7 +236,7 @@ func (c *cluster) traceBreaker(now float64, i int) {
 
 // affinity returns the instance a request's prefix or session hashes to,
 // or -1 when it has neither.
-func (c *cluster) affinity(r workload.Request) int {
+func (c *cluster) affinity(r *workload.Request) int {
 	n := len(c.insts)
 	if r.PrefixID != "" {
 		return int(token.Hash64(r.PrefixID) % uint64(n))
@@ -268,7 +277,7 @@ func (c *cluster) leastLoaded(exclude int) int {
 // — shared with obs.Decision.Ranked — is what lets a counterfactual
 // replay force rank-k alternatives without ever disagreeing with live
 // routing on ties.
-func (c *cluster) route(now float64, r workload.Request, exclude int, held bool) int {
+func (c *cluster) route(now float64, r *workload.Request, exclude int, held bool) int {
 	c.scoreInstances(now, r, exclude)
 	chosen := 0
 	for i := 1; i < len(c.scores); i++ {
@@ -303,7 +312,7 @@ func (c *cluster) route(now float64, r workload.Request, exclude int, held bool)
 // the historical path never made would perturb breaker accounting. Its
 // Breaker field records -1, unconsulted — as does every candidate's
 // under the policies that never read breakers.
-func (c *cluster) scoreInstances(now float64, r workload.Request, exclude int) {
+func (c *cluster) scoreInstances(now float64, r *workload.Request, exclude int) {
 	n := len(c.insts)
 	switch c.policy {
 	case CacheAware:
@@ -395,7 +404,7 @@ func (c *cluster) rankedInstance(k int) int {
 // recordDecision copies the score vector into the decision log (no-op
 // without one). chosen is the instance actually routed to — under
 // forcing, the forced alternative.
-func (c *cluster) recordDecision(now float64, r workload.Request, exclude int, held bool, chosen int) {
+func (c *cluster) recordDecision(now float64, r *workload.Request, exclude int, held bool, chosen int) {
 	if c.dlog == nil {
 		return
 	}
@@ -414,6 +423,32 @@ func (c *cluster) recordDecision(now float64, r workload.Request, exclude int, h
 	c.dlog.Record(obs.Decision{
 		AtMS: now, ReqID: r.ID, Kind: kind, Held: held, Chosen: chosen, Candidates: cands,
 	})
+}
+
+// reroute is the crash-reroute event: the router learns of a crash's
+// losses a detection delay after it and re-routes each dropped sequence,
+// in drop order, away from crashed instance arg>>32.
+//
+// One event per crash reroutes its arg&(1<<32-1) sequences back to
+// back. That is exactly the firing order of one event per sequence: the
+// crash scheduled those events consecutively (same time, consecutive
+// seqs), so nothing could fire between them, and whatever a reroute
+// schedules gets a later seq than all of them.
+func (c *cluster) reroute(t float64, arg uint64) {
+	i := int(arg >> 32)
+	for k := arg & (1<<32 - 1); k > 0; k-- {
+		s := c.dropped.PopFront()
+		c.breakers[i].OnFailure(t)
+		c.traceBreaker(t, i)
+		c.rerouted++
+		g := c.route(t, &s.req, i, false)
+		if c.trace != nil {
+			c.trace.Instant(t, "router", "reroute", c.rerouteAttrs(i, g)...)
+			c.trace.Registry().Counter("router/reroute_crash").Add(t, 1)
+		}
+		c.insts[g].arrive(t, s)
+		c.traceDecision(s, g)
+	}
 }
 
 // traceDecision ties the queue span a routed delivery just opened to
@@ -494,12 +529,11 @@ func runRoutedCluster(gpu GPUConfig, reqs []workload.Request, n int, policy Rout
 	if n < 1 {
 		return nil, nil, fmt.Errorf("%w: instances %d", ErrConfig, n)
 	}
-	ordered := append([]workload.Request(nil), reqs...)
-	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].ArrivalMS < ordered[j].ArrivalMS })
+	ordered := arrivalOrder(reqs)
 
 	hasSessions := false
-	for _, r := range ordered {
-		if r.Session != "" {
+	for i := range ordered {
+		if ordered[i].Session != "" {
 			hasSessions = true
 			break
 		}
@@ -511,6 +545,7 @@ func runRoutedCluster(gpu GPUConfig, reqs []workload.Request, n int, policy Rout
 		prefixes: make([]*PrefixCache, n),
 		breakers: make([]*resilient.Breaker, n),
 		pending:  len(ordered),
+		results:  make([]Result, 0, len(ordered)),
 		trace:    opts.Trace,
 		rec:      newRecovery(rec),
 		scores:   make([]candScore, n),
@@ -564,32 +599,25 @@ func runRoutedCluster(gpu GPUConfig, reqs []workload.Request, n int, policy Rout
 			c.pending--
 		})
 		c.insts[i].rec = c.rec
-		c.insts[i].onDrop = func(now float64, s *seqState) {
+		c.insts[i].onDrop = func(now float64, dropped []*seqState) {
 			// The router learns of the loss a detection delay later and
-			// re-routes the sequence away from the crashed instance.
-			c.eng.At(now+plan.detectMS(), func(t float64) {
-				c.breakers[i].OnFailure(t)
-				c.traceBreaker(t, i)
-				c.rerouted++
-				g := c.route(t, s.req, i, false)
-				if c.trace != nil {
-					c.trace.Instant(t, "router", "reroute", c.rerouteAttrs(i, g)...)
-					c.trace.Registry().Counter("router/reroute_crash").Add(t, 1)
-				}
-				c.insts[g].arrive(t, s)
-				c.traceDecision(s, g)
-			})
+			// re-routes the sequences away from the crashed instance.
+			for _, s := range dropped {
+				c.dropped.PushBack(s)
+			}
+			c.eng.AtArg(now+plan.detectMS(), c.rerouteH, uint64(i)<<32|uint64(len(dropped)))
 		}
 	}
+	c.rerouteH = c.reroute
 
 	// One shared ArgHandler delivers every arrival; the event argument is
-	// the request's index in the ordered trace, so scheduling n arrivals
-	// allocates one closure instead of n.
+	// the request's index in the ordered trace. The arrivals are streamed
+	// (sim.Engine.Stream): the queue holds the next arrival, not all n.
 	capacityTokens := gpu.KVBlocks * gpu.BlockSize
 	// deliverHeld lands a request the admission controller reserved a
 	// refill window for; deliver runs first, at the arrival instant.
 	deliverHeld := func(now float64, idx uint64) {
-		r := ordered[idx]
+		r := &ordered[idx]
 		c.adm.delivered(now, r.Tenant)
 		g := c.route(now, r, -1, true)
 		s := c.pool.get(r)
@@ -597,7 +625,7 @@ func runRoutedCluster(gpu GPUConfig, reqs []workload.Request, n int, policy Rout
 		c.traceDecision(s, g)
 	}
 	deliver := func(now float64, idx uint64) {
-		r := ordered[idx]
+		r := &ordered[idx]
 		footprint := r.PromptTokens + r.OutputTokens
 		if footprint > capacityTokens || footprint > gpu.MaxSeqLen {
 			traceRejectArrival(c.trace, now, r)
@@ -623,9 +651,7 @@ func runRoutedCluster(gpu GPUConfig, reqs []workload.Request, n int, policy Rout
 		c.insts[g].arrive(now, s)
 		c.traceDecision(s, g)
 	}
-	for i := range ordered {
-		c.eng.AtArg(ordered[i].ArrivalMS, deliver, uint64(i))
-	}
+	c.eng.Stream(len(ordered), func(i int) float64 { return ordered[i].ArrivalMS }, deliver)
 
 	if plan != nil {
 		var windowAt func(w int)
@@ -691,12 +717,13 @@ func runRoutedCluster(gpu GPUConfig, reqs []workload.Request, n int, policy Rout
 	for i, in := range c.insts {
 		for in.waiting.Len() > 0 {
 			// Never admittable: report rejected, reclaim the state —
-			// Result copies the request, so pooling is safe — and drop
-			// any host-side checkpoint the sequence left behind.
+			// the Result points at the trace, not at the pooled
+			// sequence, so pooling is safe — and drop any host-side
+			// checkpoint the sequence left behind.
 			s := in.waiting.PopFront()
 			in.load -= seqLoad(s)
 			in.traceReject(c.eng.Now(), s)
-			c.results = append(c.results, Result{Req: s.req, Rejected: true})
+			c.results = append(c.results, Result{Req: s.src, Rejected: true})
 			c.rec.drop(s.req.ID)
 			c.pool.put(s)
 		}

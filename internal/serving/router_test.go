@@ -2,6 +2,8 @@ package serving
 
 import (
 	"errors"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"dataai/internal/workload"
@@ -95,5 +97,55 @@ func TestRoutedDeterministic(t *testing.T) {
 func TestRouterPolicyString(t *testing.T) {
 	if RoundRobin.String() != "round-robin" || CacheAware.String() != "cache-aware" {
 		t.Error("policy names")
+	}
+}
+
+// TestResultsPointIntoTheTrace pins Result.Req's aliasing contract: a
+// trace already in arrival order is used in place, so every result
+// points at an element of the caller's slice; an out-of-order trace is
+// served from a private sorted copy, with the same outcomes.
+func TestResultsPointIntoTheTrace(t *testing.T) {
+	reqs, err := workload.Generate(workload.DefaultTrace(61, 300, 40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := SevereFaultPlan(7)
+	rep, err := RunRoutedFaults(DefaultGPU(), reqs, 4, BreakerAware, ContinuousOpts{ChunkTokens: 128}, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owned := func(r *workload.Request, trace []workload.Request) bool {
+		for i := range trace {
+			if r == &trace[i] {
+				return true
+			}
+		}
+		return false
+	}
+	for i := range rep.Results {
+		if !owned(rep.Results[i].Req, reqs) {
+			t.Fatalf("result %d (%s) does not point into the caller's sorted trace", i, rep.Results[i].Req.ID)
+		}
+	}
+
+	shuffled := append([]workload.Request(nil), reqs...)
+	rand.New(rand.NewSource(3)).Shuffle(len(shuffled), func(i, j int) {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	})
+	before := append([]workload.Request(nil), shuffled...)
+	again, err := RunRoutedFaults(DefaultGPU(), shuffled, 4, BreakerAware, ContinuousOpts{ChunkTokens: 128}, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(shuffled, before) {
+		t.Fatal("the run reordered the caller's unsorted trace")
+	}
+	if !reflect.DeepEqual(rep.Report, again.Report) {
+		t.Fatal("an unsorted copy of the trace served differently")
+	}
+	for i := range again.Results {
+		if owned(again.Results[i].Req, shuffled) {
+			t.Fatalf("result %d points into the caller's unsorted trace, not the run's sorted copy", i)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package serving
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"dataai/internal/par"
@@ -115,4 +116,62 @@ func TestMigrationUnderFaultsScale(t *testing.T) {
 	t.Logf("%d reqs / %d instances: crashes=%d resumes=%d migrations=%d wasted=%d makespan=%.0fms",
 		n, instances, serial.Crashes, serial.ResumedFromCkpt, serial.Migrations,
 		serial.WastedRecomputeTokens, serial.MakespanMS)
+}
+
+// TestRoutedBytesPerRequest bounds a routed run's memory per request on
+// an E23-shaped trace (shared prefixes, severe faults, breaker-aware
+// routing over 100 instances) of 10^5 requests, with two counters from
+// runtime.MemStats:
+//
+//   - allocated: the TotalAlloc delta of the run, per request — every
+//     byte the run asks the allocator for, the GC's workload;
+//   - retained: the live heap the run leaves behind with its report
+//     held and the trace (allocated before the first reading) excluded,
+//     per request — what a caller pays to keep a report.
+//
+// A report holds one Result per request, which points at its request
+// instead of copying it, and the TTFT/TBT summaries keep their samples;
+// the trace streams into the engine one arrival at a time. The bounds
+// sit about 1.5x above what this code measures (see BENCH_mem.json), so
+// a change that copies requests into results or queues the whole trace
+// again fails here.
+func TestRoutedBytesPerRequest(t *testing.T) {
+	const (
+		n                  = 100_000
+		maxAllocatedPerReq = 300 // bytes
+		maxRetainedPerReq  = 110 // bytes
+	)
+	cfg := workload.DefaultTrace(2301, n, 1500)
+	cfg.SharedPrefixes = 8
+	cfg.SharedPrefixTokens = 192
+	cfg.SharedPrefixProb = 0.6
+	reqs, err := workload.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	rep, err := RunRoutedFaults(DefaultGPU(), reqs, 100, BreakerAware,
+		ContinuousOpts{ChunkTokens: 256}, SevereFaultPlan(2303))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if len(rep.Results) != n {
+		t.Fatalf("resolved %d results, want %d", len(rep.Results), n)
+	}
+	allocated := float64(after.TotalAlloc-before.TotalAlloc) / n
+	retained := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n
+	runtime.KeepAlive(rep)
+	runtime.KeepAlive(reqs)
+	t.Logf("%d requests: allocated %.0f B/request, retained %.1f B/request (mallocs %.2f/request)",
+		n, allocated, retained, float64(after.Mallocs-before.Mallocs)/n)
+	if allocated > maxAllocatedPerReq {
+		t.Errorf("allocated %.0f B/request, bound %d", allocated, maxAllocatedPerReq)
+	}
+	if retained > maxRetainedPerReq {
+		t.Errorf("retained %.1f B/request with the report held, bound %d", retained, maxRetainedPerReq)
+	}
 }

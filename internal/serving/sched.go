@@ -2,7 +2,6 @@ package serving
 
 import (
 	"fmt"
-	"sort"
 
 	"dataai/internal/obs"
 	"dataai/internal/sim"
@@ -11,7 +10,12 @@ import (
 
 // seqState tracks one request through the simulator.
 type seqState struct {
+	// req is the sequence's own copy of its request, which scheduling
+	// reads all the time (a priority scan reads every waiting sequence's
+	// class; a pointer here would cost each read a second dereference).
+	// src is the trace element it was copied from: the Result's Req.
 	req workload.Request
+	src *workload.Request
 	// prefillLeft is the number of prompt tokens still to prefill.
 	prefillLeft int
 	// prefilled is the number actually prefilled (after cache savings).
@@ -42,7 +46,7 @@ type seqState struct {
 
 func (s *seqState) result() Result {
 	r := Result{
-		Req:             s.req,
+		Req:             s.src,
 		FinishMS:        s.finishMS,
 		TTFTms:          s.firstTokenMS - s.req.ArrivalMS,
 		PrefilledTokens: s.prefilled,
@@ -70,10 +74,9 @@ func RunStatic(gpu GPUConfig, reqs []workload.Request, batchSize int) (*Report, 
 	if batchSize > maxBatch && maxBatch > 0 {
 		batchSize = maxBatch
 	}
-	ordered := append([]workload.Request(nil), reqs...)
-	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].ArrivalMS < ordered[j].ArrivalMS })
+	ordered := arrivalOrder(reqs)
 
-	var results []Result
+	results := make([]Result, 0, len(ordered))
 	clock := 0.0
 	for start := 0; start < len(ordered); start += batchSize {
 		end := start + batchSize
@@ -81,11 +84,12 @@ func RunStatic(gpu GPUConfig, reqs []workload.Request, batchSize int) (*Report, 
 			end = len(ordered)
 		}
 		batch := make([]*seqState, 0, end-start)
-		for _, r := range ordered[start:end] {
+		for k := start; k < end; k++ {
+			r := &ordered[k]
 			if r.ArrivalMS > clock {
 				clock = r.ArrivalMS // batch forms when its members arrived
 			}
-			s := &seqState{req: r, prefillLeft: r.PromptTokens}
+			s := &seqState{req: *r, src: r, prefillLeft: r.PromptTokens}
 			kv.Alloc(r.ID, r.PromptTokens+r.OutputTokens)
 			batch = append(batch, s)
 		}
@@ -199,24 +203,24 @@ func RunContinuous(gpu GPUConfig, reqs []workload.Request, opts ContinuousOpts) 
 	if opts.ChunkTokens < 0 {
 		return nil, fmt.Errorf("%w: chunk tokens %d", ErrConfig, opts.ChunkTokens)
 	}
-	ordered := append([]workload.Request(nil), reqs...)
-	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].ArrivalMS < ordered[j].ArrivalMS })
+	ordered := arrivalOrder(reqs)
 
 	eng := sim.NewEngine()
 	pool := &seqPool{}
-	var results []Result
+	results := make([]Result, 0, len(ordered))
 	inst := newInstance(0, gpu, opts, eng, pool, func(_ float64, r Result) { results = append(results, r) })
-	scheduleArrivals(eng, gpu, ordered, inst, pool, func(r Result) { results = append(results, r) })
+	scheduleArrivals(eng, gpu, ordered, 0, 1, inst, pool, func(r Result) { results = append(results, r) })
 	eng.Run()
 
 	// Anything still waiting could never be admitted (footprint larger
 	// than the whole cache): report as rejected and reclaim the state —
-	// Result copies the request, so pooling is safe.
+	// the Result points at the trace, not at the pooled sequence, so
+	// pooling is safe.
 	for inst.waiting.Len() > 0 {
 		s := inst.waiting.PopFront()
 		inst.load -= seqLoad(s)
 		inst.traceReject(eng.Now(), s)
-		results = append(results, Result{Req: s.req, Rejected: true})
+		results = append(results, Result{Req: s.src, Rejected: true})
 		pool.put(s)
 	}
 	rep := buildReport(results)

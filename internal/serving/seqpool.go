@@ -30,8 +30,9 @@ type seqPool struct {
 	outstanding int
 }
 
-// get returns a zeroed seqState carrying req.
-func (p *seqPool) get(req workload.Request) *seqState {
+// get returns a zeroed seqState carrying a copy of *req, with src
+// pointing at req for the sequence's Result.
+func (p *seqPool) get(req *workload.Request) *seqState {
 	n := len(p.free)
 	if n == 0 {
 		slab := make([]seqState, seqSlab)
@@ -42,7 +43,8 @@ func (p *seqPool) get(req workload.Request) *seqState {
 	}
 	s := p.free[n-1]
 	p.free = p.free[:n-1]
-	s.req = req
+	s.req = *req
+	s.src = req
 	p.outstanding++
 	return s
 }

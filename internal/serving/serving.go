@@ -23,6 +23,7 @@ package serving
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"dataai/internal/metrics"
 	"dataai/internal/workload"
@@ -95,7 +96,12 @@ func (g GPUConfig) decodeIterMS(batch int) float64 {
 
 // Result records one request's serving outcome.
 type Result struct {
-	Req workload.Request
+	// Req points at the request this result is for. It aliases the
+	// caller's trace (or, when the trace was not in arrival order, the
+	// run's private sorted copy of it), so a report costs no per-request
+	// copy of the request; mutating the trace after the run changes
+	// what the report's results read.
+	Req *workload.Request
 	// TTFTms is time from arrival to the first output token.
 	TTFTms float64
 	// TBTms is the mean time between subsequent output tokens.
@@ -202,6 +208,20 @@ func (r *Report) ClassOutputTokens(class workload.SLOClass) int {
 		}
 	}
 	return sum
+}
+
+// arrivalOrder returns the trace in stable arrival order: reqs itself
+// when it already is (every generator emits traces that way), otherwise
+// a sorted copy private to the run. Results point into what it returns.
+func arrivalOrder(reqs []workload.Request) []workload.Request {
+	for i := 1; i < len(reqs); i++ {
+		if reqs[i].ArrivalMS < reqs[i-1].ArrivalMS {
+			ordered := append([]workload.Request(nil), reqs...)
+			sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].ArrivalMS < ordered[j].ArrivalMS })
+			return ordered
+		}
+	}
+	return reqs
 }
 
 // buildReport assembles summaries from results.

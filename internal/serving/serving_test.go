@@ -443,9 +443,9 @@ func TestDecodeCostKVSpeedup(t *testing.T) {
 
 func TestGoodputAndSummaries(t *testing.T) {
 	rep := buildReport([]Result{
-		{Req: workload.Request{ID: "a", OutputTokens: 10}, TTFTms: 50, TBTms: 5, FinishMS: 100},
-		{Req: workload.Request{ID: "b", OutputTokens: 10}, TTFTms: 500, TBTms: 50, FinishMS: 600},
-		{Req: workload.Request{ID: "c"}, Rejected: true},
+		{Req: &workload.Request{ID: "a", OutputTokens: 10}, TTFTms: 50, TBTms: 5, FinishMS: 100},
+		{Req: &workload.Request{ID: "b", OutputTokens: 10}, TTFTms: 500, TBTms: 50, FinishMS: 600},
+		{Req: &workload.Request{ID: "c"}, Rejected: true},
 	})
 	if g := rep.Goodput(100, 10); g != 1.0/3 {
 		t.Errorf("goodput = %v, want 1/3", g)
@@ -500,8 +500,8 @@ func BenchmarkRunDisaggregated(b *testing.B) {
 
 func ExampleReport_Goodput() {
 	rep := buildReport([]Result{
-		{Req: workload.Request{ID: "a", OutputTokens: 8}, TTFTms: 80, TBTms: 8, FinishMS: 150},
-		{Req: workload.Request{ID: "b", OutputTokens: 8}, TTFTms: 900, TBTms: 9, FinishMS: 1000},
+		{Req: &workload.Request{ID: "a", OutputTokens: 8}, TTFTms: 80, TBTms: 8, FinishMS: 150},
+		{Req: &workload.Request{ID: "b", OutputTokens: 8}, TTFTms: 900, TBTms: 9, FinishMS: 1000},
 	})
 	fmt.Printf("%.1f\n", rep.Goodput(200, 10))
 	// Output: 0.5

@@ -32,7 +32,7 @@ import (
 //     and router/resume_from_checkpoint.
 
 // reqTrack names a request's lifecycle track.
-func reqTrack(r workload.Request) string { return "req/" + r.ID }
+func reqTrack(r *workload.Request) string { return "req/" + r.ID }
 
 // gaugedKV wraps a KVManager and mirrors its occupancy into an obs gauge
 // at the engine's current logical time. Installed only when tracing is
@@ -79,7 +79,7 @@ func (in *instance) tracePhase(now float64, s *seqState, name string) {
 		return
 	}
 	in.trace.End(now, s.phase)
-	s.phase = in.trace.Begin(now, reqTrack(s.req), obs.CatRequest, name, s.root)
+	s.phase = in.trace.Begin(now, reqTrack(&s.req), obs.CatRequest, name, s.root)
 }
 
 // traceArrive opens the request's root span on first arrival and puts it
@@ -89,7 +89,7 @@ func (in *instance) traceArrive(now float64, s *seqState) {
 		return
 	}
 	if s.root == 0 {
-		s.root = in.trace.Begin(now, reqTrack(s.req), obs.CatRequest, "request", 0)
+		s.root = in.trace.Begin(now, reqTrack(&s.req), obs.CatRequest, "request", 0)
 	}
 	in.tracePhase(now, s, "queue")
 	in.traceDepth(now)
@@ -113,7 +113,7 @@ func (in *instance) traceReject(now float64, s *seqState) {
 		return
 	}
 	if s.root == 0 {
-		s.root = in.trace.Begin(now, reqTrack(s.req), obs.CatRequest, "request", 0)
+		s.root = in.trace.Begin(now, reqTrack(&s.req), obs.CatRequest, "request", 0)
 	}
 	in.trace.End(now, s.phase)
 	s.phase = 0
@@ -122,7 +122,7 @@ func (in *instance) traceReject(now float64, s *seqState) {
 
 // traceRejectArrival records an arrival-time rejection for a request that
 // never reached an instance (footprint can never fit).
-func traceRejectArrival(tr *obs.Tracer, now float64, r workload.Request) {
+func traceRejectArrival(tr *obs.Tracer, now float64, r *workload.Request) {
 	if tr == nil {
 		return
 	}

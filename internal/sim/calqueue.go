@@ -28,14 +28,22 @@ import (
 // Cost. For the clustered schedules serving workloads produce (many
 // events per millisecond), push is an append and pop is an index bump:
 // amortized O(1), no per-event allocation once bucket capacity has
-// grown. The heap only sees far-future events (arrival horizons), which
-// enter and leave it once each. Sparse stretches cost one empty-bucket
-// step per calWidth of simulated silence; a fully empty wheel jumps
-// straight to the overflow's next epoch instead of crawling.
+// grown (up to calKeepCap per bucket: a burst past it regrows its array
+// each time, and gives it back when drained). The heap only sees
+// far-future events, which enter and leave it once each. Sparse
+// stretches cost one empty-bucket step per calWidth of simulated
+// silence; a fully empty wheel jumps straight to the overflow's next
+// epoch instead of crawling.
 const (
 	calBuckets = 1024
 	calMask    = calBuckets - 1
 	calWidth   = 1.0 // logical ms per bucket
+	// calKeepCap is the largest backing array a drained bucket keeps for
+	// reuse. A burst of events at one instant can grow a bucket far past
+	// the steady state; kept, that capacity would stay pinned for the
+	// rest of the run in every bucket a burst ever passed through, so a
+	// drained bucket past the cap gives its array back instead.
+	calKeepCap = 256
 )
 
 type calQueue struct {
@@ -109,9 +117,9 @@ func (q *calQueue) pop() (event, bool) {
 			q.curIdx++
 			q.wheel--
 			if q.curIdx == len(b) {
-				// Bucket drained: reset it (keeping capacity) so pushes
-				// at the current instant start a fresh sorted tail.
-				q.buckets[q.cursor] = b[:0]
+				// Bucket drained: reset it so pushes at the current
+				// instant start a fresh sorted tail.
+				q.buckets[q.cursor] = drained(b)
 				q.curIdx = 0
 			}
 			return e, true
@@ -123,12 +131,21 @@ func (q *calQueue) pop() (event, bool) {
 // advance moves the cursor to the next bucket and pulls any overflow
 // events that now fall inside the horizon into their wheel buckets.
 func (q *calQueue) advance() {
-	q.buckets[q.cursor] = q.buckets[q.cursor][:0]
+	q.buckets[q.cursor] = drained(q.buckets[q.cursor])
 	q.cursor = (q.cursor + 1) & calMask
 	q.base += calWidth
 	q.curIdx = 0
 	q.entered = false
 	q.pull()
+}
+
+// drained empties a bucket, keeping its backing array for reuse unless a
+// burst grew it past calKeepCap.
+func drained(b []event) []event {
+	if cap(b) > calKeepCap {
+		return nil
+	}
+	return b[:0]
 }
 
 // jump is advance for an empty wheel: instead of stepping bucket by

@@ -104,10 +104,7 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // clamps to Now: the event fires next, after already-queued events at
 // the current instant — time never runs backwards.
 func (e *Engine) At(t float64, fn Handler) {
-	if t < e.now {
-		t = e.now
-	}
-	e.queue.push(event{time: t, seq: e.seq, fn: fn})
+	e.queue.push(event{time: e.notBefore(t), seq: e.seq, fn: fn})
 	e.seq++
 }
 
@@ -121,10 +118,7 @@ func (e *Engine) After(d float64, fn Handler) {
 // ArgHandler across many AtArg calls keeps the schedule path
 // allocation-free.
 func (e *Engine) AtArg(t float64, fn ArgHandler, arg uint64) {
-	if t < e.now {
-		t = e.now
-	}
-	e.queue.push(event{time: t, seq: e.seq, afn: fn, arg: arg})
+	e.queue.push(event{time: e.notBefore(t), seq: e.seq, afn: fn, arg: arg})
 	e.seq++
 }
 
@@ -132,6 +126,39 @@ func (e *Engine) AtArg(t float64, fn ArgHandler, arg uint64) {
 // Negative d clamps to zero.
 func (e *Engine) AfterArg(d float64, fn ArgHandler, arg uint64) {
 	e.AtArg(e.now+d, fn, arg)
+}
+
+// Stream schedules n events: item i fires fn(now, i) at time at(i), for
+// i = 0..n-1, where at must be non-decreasing in i (an arrival trace in
+// arrival order) and clamps to Now like AtArg. It
+// reserves n sequence numbers up front but keeps only one item of the
+// stream queued at a time: firing item i queues item i+1 with sequence
+// number base+i+1 before fn runs. Item i+1 sorts after item i in (time,
+// seq) order, and its seq is below every seq a handler allocates later,
+// so the firing order is exactly that of n up-front AtArg calls made
+// here — while the queue holds O(1) of the stream instead of O(n).
+func (e *Engine) Stream(n int, at func(i int) float64, fn ArgHandler) {
+	if n <= 0 {
+		return
+	}
+	base := e.seq
+	e.seq += uint64(n)
+	var next ArgHandler
+	next = func(now float64, i uint64) {
+		if j := i + 1; j < uint64(n) {
+			e.queue.push(event{time: e.notBefore(at(int(j))), seq: base + j, afn: next, arg: j})
+		}
+		fn(now, i)
+	}
+	e.queue.push(event{time: e.notBefore(at(0)), seq: base, afn: next})
+}
+
+// notBefore clamps a scheduling time to Now, the rule At and AtArg apply.
+func (e *Engine) notBefore(t float64) float64 {
+	if t < e.now {
+		return e.now
+	}
+	return t
 }
 
 // Run fires events in (time, seq) order until the queue is empty.

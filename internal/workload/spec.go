@@ -333,6 +333,12 @@ func gammaDraw(rng *rand.Rand, shape float64) float64 {
 // (arrival, client ID, per-client index) order, and request IDs are
 // assigned in merged order — so the result is a pure function of the
 // spec's contents, not of client list order or generation order.
+//
+// Each stream is already in arrival order, so the merge is a k-way merge
+// of the stream heads on (arrival, client ID), which is the same strict
+// order because Validate rejects duplicate client IDs (within a stream,
+// a head always precedes the rest). A single client's stream is the
+// trace itself and is used in place.
 func GenerateSpec(spec WorkloadSpec) ([]Request, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -347,32 +353,44 @@ func GenerateSpec(spec WorkloadSpec) ([]Request, error) {
 		rate := spec.RatePerSec * spec.Clients[ci].RateFraction / sum
 		streams[ci] = generateClient(spec, ci, counts[ci], rate)
 	}
-	type tagged struct {
-		req Request
-		seq int // index within the client's stream
+	var out []Request
+	if len(streams) == 1 {
+		out = streams[0]
+	} else {
+		out = mergeStreams(streams, spec.Count)
 	}
-	merged := make([]tagged, 0, spec.Count)
-	for _, stream := range streams {
-		for seq, r := range stream {
-			merged = append(merged, tagged{req: r, seq: seq})
-		}
-	}
-	sort.Slice(merged, func(i, j int) bool {
-		a, b := &merged[i], &merged[j]
-		if a.req.ArrivalMS != b.req.ArrivalMS {
-			return a.req.ArrivalMS < b.req.ArrivalMS
-		}
-		if a.req.Client != b.req.Client {
-			return a.req.Client < b.req.Client
-		}
-		return a.seq < b.seq
-	})
-	out := make([]Request, len(merged))
-	for i := range merged {
-		out[i] = merged[i].req
+	for i := range out {
 		out[i].ID = fmt.Sprintf("r%05d", i)
 	}
 	return out, nil
+}
+
+// mergeStreams merges arrival-ordered client streams into one trace
+// ordered by (ArrivalMS, Client), taking from the front of each stream.
+// Specs have a handful of clients, so each step scans the heads.
+func mergeStreams(streams [][]Request, total int) []Request {
+	out := make([]Request, 0, total)
+	for {
+		best := -1
+		for ci, st := range streams {
+			if len(st) == 0 {
+				continue
+			}
+			if best < 0 {
+				best = ci
+				continue
+			}
+			a, b := &st[0], &streams[best][0]
+			if a.ArrivalMS < b.ArrivalMS || (a.ArrivalMS == b.ArrivalMS && a.Client < b.Client) {
+				best = ci
+			}
+		}
+		if best < 0 {
+			return out
+		}
+		out = append(out, streams[best][0])
+		streams[best] = streams[best][1:]
+	}
 }
 
 // Spec re-expresses the legacy single-stream TraceConfig as a one-

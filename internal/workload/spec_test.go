@@ -1,7 +1,10 @@
 package workload
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -210,5 +213,131 @@ func TestSpecValidation(t *testing.T) {
 		if err := bad(tc.mutate); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
+	}
+}
+
+// referenceMerge is the historical GenerateSpec merge, kept as the
+// reference the k-way merge is tested against: tag every request with
+// its index in its client's stream, sort the concatenation on (arrival,
+// client ID, index), and copy out.
+func referenceMerge(streams [][]Request) []Request {
+	type tagged struct {
+		req Request
+		seq int // index within the client's stream
+	}
+	var merged []tagged
+	for _, stream := range streams {
+		for seq, r := range stream {
+			merged = append(merged, tagged{req: r, seq: seq})
+		}
+	}
+	sort.Slice(merged, func(i, j int) bool {
+		a, b := &merged[i], &merged[j]
+		if a.req.ArrivalMS != b.req.ArrivalMS {
+			return a.req.ArrivalMS < b.req.ArrivalMS
+		}
+		if a.req.Client != b.req.Client {
+			return a.req.Client < b.req.Client
+		}
+		return a.seq < b.seq
+	})
+	out := make([]Request, len(merged))
+	for i := range merged {
+		out[i] = merged[i].req
+	}
+	return out
+}
+
+// referenceGenerateSpec is GenerateSpec with the historical merge.
+func referenceGenerateSpec(spec WorkloadSpec) []Request {
+	counts := spec.clientCounts()
+	sum := 0.0
+	for _, c := range spec.Clients {
+		sum += c.RateFraction
+	}
+	streams := make([][]Request, len(spec.Clients))
+	for ci := range spec.Clients {
+		streams[ci] = generateClient(spec, ci, counts[ci], spec.RatePerSec*spec.Clients[ci].RateFraction/sum)
+	}
+	out := referenceMerge(streams)
+	for i := range out {
+		out[i].ID = fmt.Sprintf("r%05d", i)
+	}
+	return out
+}
+
+func sameTrace(t *testing.T, name string, got, want []Request) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d requests, reference %d", name, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: request %d differs from the reference merge:\ngot:  %+v\nwant: %+v", name, i, got[i], want[i])
+		}
+	}
+}
+
+// TestGenerateSpecMatchesReferenceSort pins the k-way merge (and the
+// single-client in-place path) to the historical tagged sort. The
+// "ties" spec uses extreme burstiness so that gamma gaps underflow to
+// zero: its clients share arrival instants (every client starts with a
+// run of arrivals at 0 ms) and repeat instants within their own stream.
+func TestGenerateSpecMatchesReferenceSort(t *testing.T) {
+	ties := DefaultMultiTenant(5, 900, 120)
+	for i := range ties.Clients {
+		ties.Clients[i].Arrival = ArrivalSpec{Process: GammaBurst, Burstiness: 1e6}
+	}
+	specs := map[string]WorkloadSpec{
+		"multi-tenant":  DefaultMultiTenant(2501, 3000, 90),
+		"multi-tenant2": DefaultMultiTenant(7, 1001, 400),
+		"single-client": singleClientSpec(ArrivalSpec{Process: GammaBurst, Burstiness: 4}, 800, 30),
+		"legacy":        DefaultTrace(9, 500, 25).Spec(),
+		"ties":          ties,
+	}
+	for name, spec := range specs {
+		got, err := GenerateSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := referenceGenerateSpec(spec)
+		sameTrace(t, name, got, want)
+		if name == "ties" {
+			crossTies := 0
+			for i := 1; i < len(want); i++ {
+				if want[i].ArrivalMS == want[i-1].ArrivalMS && want[i].Client != want[i-1].Client {
+					crossTies++
+				}
+			}
+			if crossTies == 0 {
+				t.Fatalf("ties spec produced no equal arrival times across clients")
+			}
+		}
+	}
+}
+
+// TestMergeStreamsEqualArrivals merges synthetic sorted streams whose
+// arrivals sit on a coarse integer grid, so equal arrival times across
+// and within clients are the common case.
+func TestMergeStreamsEqualArrivals(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		k := 2 + rng.Intn(5)
+		streams := make([][]Request, k)
+		total := 0
+		for ci := range streams {
+			n := rng.Intn(60)
+			clock := 0.0
+			for j := 0; j < n; j++ {
+				clock += float64(rng.Intn(3))
+				streams[ci] = append(streams[ci], Request{
+					ArrivalMS: clock, Client: fmt.Sprintf("c%d", (ci*7)%k), PromptTokens: j,
+				})
+			}
+			total += n
+		}
+		want := referenceMerge(streams)
+		got := mergeStreams(append([][]Request(nil), streams...), total)
+		sameTrace(t, fmt.Sprintf("seed %d", seed), got, want)
 	}
 }

@@ -41,6 +41,12 @@ git diff --exit-code
 echo "== go test -race ./..."
 go test -race ./...
 
+echo "== serving scale and bytes/request (no race detector, full size)"
+# Under -race the two 10^6-request scale tests shrink to 10^5 requests,
+# so the step above never sees a full-size routed run's memory. Run them
+# at full size here, with the routed bytes/request bounds.
+go test -count=1 -run 'Scale|BytesPerRequest' ./internal/serving
+
 echo "== resilience stress under race (repeated runs)"
 # The fault injector, resilient middleware, and single-flight cache are
 # the repo's most mutex-dense code; hammer them a few extra times under
