@@ -15,35 +15,29 @@
 // Data4LLM — using data management to optimize the LLM lifecycle:
 //
 //	clean, report := dataai.ApplyFilters(docs, dataai.DefaultHeuristicFilter())
-//	kept, _ := minhash.Dedup(clean, 0.6)
+//	mh, _ := dataai.NewMinHasher(64, 16, 3, 1)
+//	kept, _ := mh.Dedup(clean, 0.6)
 //	lm := dataai.NewNGramLM()
 //	lm.TrainAll(kept)
 //
-// Every subsystem the paper surveys is available through the subpackage
-// re-exports below; the experiment suite in bench_test.go and
-// cmd/benchall regenerates the paper's qualitative claims end to end.
+// The facade exports one front door per subsystem: the entry points the
+// examples and the root-package tests drive. Each subsystem's full API
+// lives in its package under internal/; the experiment suite in
+// bench_test.go and cmd/benchall exercises all of it and regenerates
+// the paper's qualitative claims end to end.
 package dataai
 
 import (
-	"dataai/internal/agent"
 	"dataai/internal/core"
 	"dataai/internal/corpus"
 	"dataai/internal/dataprep"
 	"dataai/internal/docstore"
 	"dataai/internal/embed"
-	"dataai/internal/extract"
-	"dataai/internal/faults"
 	"dataai/internal/lake"
 	"dataai/internal/llm"
 	"dataai/internal/llm/ngram"
-	"dataai/internal/metrics"
-	"dataai/internal/obs"
 	"dataai/internal/prompting"
 	"dataai/internal/rag"
-	"dataai/internal/relation"
-	"dataai/internal/resilient"
-	"dataai/internal/rewrite"
-	"dataai/internal/semop"
 	"dataai/internal/serving"
 	"dataai/internal/training"
 	"dataai/internal/vecdb"
@@ -62,11 +56,8 @@ type LLMClient = llm.Client
 // LLMModel describes a simulated model tier.
 type LLMModel = llm.Model
 
-// LLMRequest and LLMResponse are the completion call types.
-type (
-	LLMRequest  = llm.Request
-	LLMResponse = llm.Response
-)
+// LLMRequest is a completion call.
+type LLMRequest = llm.Request
 
 // LargeModel and SmallModel are the built-in model tiers.
 var (
@@ -77,55 +68,9 @@ var (
 // NewSimulatedLLM builds the deterministic LLM simulator.
 func NewSimulatedLLM(m LLMModel, seed uint64) *llm.Simulator { return llm.NewSimulator(m, seed) }
 
-// NewLLMCache wraps a client with an exact-prompt response cache.
-func NewLLMCache(inner LLMClient) *llm.Cache { return llm.NewCache(inner) }
-
-// NewLLMCascade routes cheap-first with confidence-based escalation.
-func NewLLMCascade(cheap, expensive LLMClient, threshold float64) *llm.Cascade {
-	return llm.NewCascade(cheap, expensive, threshold)
-}
-
 // NewNGramLM builds the statistical language model used for perplexity
 // scoring and Markov synthesis.
 func NewNGramLM() *ngram.Model { return ngram.New() }
-
-// --- Fault injection and resilience (packages faults, resilient) ---
-
-// FaultPlan sets per-call fault probabilities for the injector;
-// LightFaults/MediumFaults/SevereFaults are the standard presets.
-type FaultPlan = faults.Plan
-
-// LightFaults, MediumFaults, and SevereFaults are the preset fault
-// severities used by experiment E22.
-var (
-	LightFaults  = faults.Light
-	MediumFaults = faults.Medium
-	SevereFaults = faults.Severe
-)
-
-// NewFaultInjector wraps a client with the deterministic seeded fault
-// injector: every fault is a pure function of (prompt, seed, attempt#).
-func NewFaultInjector(inner LLMClient, plan FaultPlan, seed uint64) *faults.Injector {
-	return faults.New(inner, plan, seed)
-}
-
-// ResiliencePolicy configures the resilience middleware; RetryOnly and
-// FullResilience are the standard presets.
-type ResiliencePolicy = resilient.Policy
-
-// RetryOnly and FullResilience are the preset policies used by
-// experiment E22.
-var (
-	RetryOnly      = resilient.RetryOnly
-	FullResilience = resilient.Full
-)
-
-// WrapResilient layers retry/backoff, circuit breaking, hedging, and
-// graceful degradation over any client; all waits are charged to
-// simulated latency, never slept.
-func WrapResilient(inner LLMClient, policy ResiliencePolicy) *resilient.Client {
-	return resilient.Wrap(inner, policy)
-}
 
 // --- Embeddings and vector search (packages embed, vecdb) ---
 
@@ -138,32 +83,13 @@ func NewEmbedder(dim int) *embed.HashEmbedder { return embed.NewHashEmbedder(dim
 // VectorIndex is the vector database contract.
 type VectorIndex = vecdb.Index
 
-// NewFlatIndex, NewIVFIndex, and NewHNSWIndex build the three index types.
+// NewFlatIndex builds the exact brute-force vector index.
 func NewFlatIndex(dim int) *vecdb.Flat { return vecdb.NewFlat(dim) }
-
-// NewIVFIndex builds an inverted-file index (train before searching).
-func NewIVFIndex(dim, nlist, nprobe int, seed int64) *vecdb.IVF {
-	return vecdb.NewIVF(dim, nlist, nprobe, seed)
-}
-
-// NewHNSWIndex builds a hierarchical navigable small world graph index.
-func NewHNSWIndex(dim, m, efConstruction int, seed int64) *vecdb.HNSW {
-	return vecdb.NewHNSW(dim, m, efConstruction, seed)
-}
 
 // --- Documents and corpora (packages docstore, corpus) ---
 
-// Document is a stored source document; Chunk a retrieval unit.
-type (
-	Document = docstore.Document
-	Chunk    = docstore.Chunk
-)
-
-// SentenceChunker and FixedChunker are the segmentation policies.
-type (
-	SentenceChunker = docstore.SentenceChunker
-	FixedChunker    = docstore.FixedChunker
-)
+// Document is a stored source document.
+type Document = docstore.Document
 
 // CorpusConfig controls synthetic corpus generation; Corpus is the result.
 type (
@@ -183,7 +109,7 @@ func GenerateCorpus(cfg CorpusConfig) (*Corpus, error) {
 	return g.Generate(), nil
 }
 
-// --- LLM4Data (packages rag, semop, extract, lake, agent, relation) ---
+// --- LLM4Data (packages rag, prompting, lake) ---
 
 // RAG is the retrieval-augmented generation pipeline.
 type RAG = rag.Pipeline
@@ -193,97 +119,21 @@ func NewRAG(client LLMClient, e Embedder, idx VectorIndex, opts ...rag.Option) (
 	return rag.New(client, e, idx, opts...)
 }
 
-// RAGWithRerank and RAGWithTopK configure NewRAG.
-var (
-	RAGWithRerank = rag.WithRerank
-	RAGWithTopK   = rag.WithTopK
-)
+// RAGWithTopK sets how many chunks NewRAG's pipeline retrieves.
+var RAGWithTopK = rag.WithTopK
 
-// Semantic operators over relational tables with text columns.
-type (
-	SemExecutor  = semop.Executor
-	SemFilter    = semop.SemFilter
-	SemExtractOp = semop.SemExtract
-)
+// CompressContext trims retrieved context to a token budget, keeping
+// the sentences most relevant to the question (§2.2.1).
+var CompressContext = prompting.Compress
 
-// NewSemExecutor builds a semantic-operator executor.
-func NewSemExecutor(client LLMClient) *semop.Executor { return semop.NewExecutor(client) }
-
-// OptimizeSemOps reorders a semantic-operator pipeline for cost.
-var OptimizeSemOps = semop.Optimize
-
-// Table is the in-memory relational table; Catalog resolves names for SQL.
-type (
-	Table   = relation.Table
-	Schema  = relation.Schema
-	Catalog = relation.Catalog
-)
-
-// NewTable creates a typed relational table.
-var NewTable = relation.NewTable
-
-// Schema extraction strategies (Evaporate).
-type (
-	DirectExtractor    = extract.Direct
-	EvaporateExtractor = extract.Evaporate
-)
-
-// Lake is a multi-modal data lake; LakePlanner compiles NL queries into
-// tool pipelines over it.
-type (
-	Lake        = lake.Lake
-	LakePlanner = lake.Planner
-)
-
-// BuildLake constructs a lake from a corpus.
+// BuildLake constructs a multi-modal data lake from a corpus.
 var BuildLake = lake.BuildFromCorpus
 
-// NewLakePlanner wires the SYMPHONY/CAESURA-style planner.
+// NewLakePlanner wires the SYMPHONY/CAESURA-style planner that compiles
+// natural-language queries into tool pipelines over a lake.
 var NewLakePlanner = lake.NewPlanner
 
-// Query rewriting with execution-based equivalence verification.
-type (
-	QueryRewriter        = rewrite.Rewriter
-	RewriteProposer      = rewrite.Proposer
-	SimulatedLLMProposer = rewrite.SimulatedLLMProposer
-)
-
-// ParseQuery parses SQL into a structured, rewritable form.
-var ParseQuery = relation.ParseQuery
-
-// Agent executes multi-step tool plans with self-reflection.
-type (
-	Agent     = agent.Agent
-	AgentTool = agent.Tool
-)
-
-// NewAgent builds an agent over a tool registry.
-var NewAgent = agent.New
-
-// Prompting techniques (§2.2.1): demonstration selection and compression.
-type (
-	DemoSelector = prompting.DemoSelector
-	LLMExample   = llm.Example
-)
-
-// Prompting entry points.
-var (
-	NewDemoSelector = prompting.NewDemoSelector
-	CompressContext = prompting.Compress
-	// ClassifyFewShot builds a classification prompt with demonstrations.
-	ClassifyFewShot = llm.ClassifyPromptFewShot
-)
-
 // --- Data4LLM (packages dataprep, training, serving, workload) ---
-
-// Data preparation primitives.
-type (
-	Filter     = dataprep.Filter
-	MinHasher  = dataprep.MinHasher
-	Selector   = dataprep.Selector
-	DomainPool = dataprep.DomainPool
-	Mixture    = dataprep.Mixture
-)
 
 // Cleaning and dedup entry points.
 var (
@@ -291,169 +141,36 @@ var (
 	DefaultHeuristicFilter = dataprep.DefaultHeuristicFilter
 	FitClassifierFilter    = dataprep.FitClassifierFilter
 	NewMinHasher           = dataprep.NewMinHasher
-	ExactDedup             = dataprep.ExactDedup
 )
 
-// Selection and mixture entry points.
-var (
-	ImportanceMixture = dataprep.ImportanceMixture
-	GradientMixture   = dataprep.GradientMixture
-	UniformMixture    = dataprep.UniformMixture
-)
+// TrainModelConfig describes a model for the training-memory simulator.
+type TrainModelConfig = training.ModelConfig
 
-// Training simulation.
-type (
-	TrainModelConfig = training.ModelConfig
-	TrainCluster     = training.ClusterConfig
-	TrainStrategy    = training.Strategy
-	TrainCheckpoint  = training.Checkpoint
-)
+// StrategyZeRO3 shards parameters, gradients and optimizer state.
+const StrategyZeRO3 = training.ZeRO3
 
-// Training strategies and helpers.
-const (
-	StrategyDP    = training.DP
-	StrategyZeRO1 = training.ZeRO1
-	StrategyZeRO2 = training.ZeRO2
-	StrategyZeRO3 = training.ZeRO3
-	StrategyFSDP  = training.FSDP
-)
+// MemoryPerWorker is the per-worker training memory under a strategy.
+var MemoryPerWorker = training.MemoryPerWorker
 
-// ParallelConfig is a 3D (data × pipeline × tensor) parallel layout.
-type ParallelConfig = training.ParallelConfig
-
-// Training entry points.
-var (
-	MemoryPerWorker   = training.MemoryPerWorker
-	SimulateTraining  = training.SimulateRun
-	NewCheckpoint     = training.NewCheckpoint
-	MemoryPerDevice3D = training.MemoryPerDevice3D
-	StepTime3D        = training.StepTime3D
-	BestLayout        = training.BestLayout
-)
-
-// Serving simulation.
-type (
-	ServingGPU       = serving.GPUConfig
-	ServingReport    = serving.Report
-	ServingRequest   = workload.Request
-	ContinuousOpts   = serving.ContinuousOpts
-	DisaggOpts       = serving.DisaggOpts
-	RouterPolicy     = serving.RouterPolicy
-	RoutedReport     = serving.RoutedReport
-	ServingFaultPlan = serving.FaultPlan
-	// RecoveryConfig turns on the crash-survivable stack for routed
-	// runs: periodic decode-state checkpoints, live session migration,
-	// and tiered (GPU+CPU) prefix caches.
-	RecoveryConfig    = serving.RecoveryConfig
-	PrefixCacheConfig = serving.PrefixCacheConfig
-)
-
-// Multi-tenant serving: workload specs with per-client tenants, SLO
-// classes and arrival processes; token-bucket admission at the router;
-// class-aware batch formation; per-tenant outcomes.
-type (
-	WorkloadSpec    = workload.WorkloadSpec
-	ClientSpec      = workload.ClientSpec
-	ArrivalSpec     = workload.ArrivalSpec
-	LengthSpec      = workload.LengthSpec
-	SLOClass        = workload.SLOClass
-	ArrivalProcess  = workload.ArrivalProcess
-	AdmissionConfig = serving.AdmissionConfig
-	AdmissionPolicy = serving.AdmissionPolicy
-	SchedPolicy     = serving.SchedPolicy
-	TenantStats     = serving.TenantStats
-)
-
-// Multi-tenant enums: SLO classes, arrival processes, admission
-// policies, and batch-formation orders.
-const (
-	SLOInteractive = workload.Interactive
-	SLOBatch       = workload.Batch
-
-	ArrivePoisson     = workload.Poisson
-	ArriveGammaBurst  = workload.GammaBurst
-	ArriveDiurnalRamp = workload.DiurnalRamp
-
-	AdmitAll    = serving.AdmitAll
-	AdmitReject = serving.AdmitReject
-	AdmitQueue  = serving.AdmitQueue
-
-	SchedFCFS     = serving.SchedFCFS
-	SchedPriority = serving.SchedPriority
-	SchedSJF      = serving.SchedSJF
-)
-
-// Routing policies for multi-instance serving.
-const (
-	RouteRoundRobin   = serving.RoundRobin
-	RouteCacheAware   = serving.CacheAware
-	RouteBreakerAware = serving.BreakerAware
-)
+// ContinuousOpts configures a continuous-batching serving run.
+type ContinuousOpts = serving.ContinuousOpts
 
 // Serving entry points.
 var (
-	DefaultGPU        = serving.DefaultGPU
-	RunStaticBatching = serving.RunStatic
-	RunContinuous     = serving.RunContinuous
-	RunDisaggregated  = serving.RunDisaggregated
-	RunRouted         = serving.RunRouted
-	RunRoutedFaults   = serving.RunRoutedFaults
-	// RunRoutedRecovery is RunRoutedFaults plus a RecoveryConfig; the
-	// zero config reproduces RunRoutedFaults exactly.
-	RunRoutedRecovery    = serving.RunRoutedRecovery
-	MediumFaultPlan      = serving.MediumFaultPlan
-	SevereFaultPlan      = serving.SevereFaultPlan
-	CorrelatedFaultPlan  = serving.CorrelatedFaultPlan
-	CascadeFaultPlan     = serving.CascadeFaultPlan
-	NewTieredPrefixCache = serving.NewTieredPrefixCache
-	GenerateTrace        = workload.Generate
-	DefaultTrace         = workload.DefaultTrace
-	// RunRoutedAdmission is RunRoutedRecovery plus per-tenant
-	// token-bucket admission; the zero AdmissionConfig reproduces it
-	// exactly.
-	RunRoutedAdmission = serving.RunRoutedAdmission
-	GenerateSpec       = workload.GenerateSpec
-	DefaultMultiTenant = workload.DefaultMultiTenant
-	JainIndex          = metrics.Jain
-	JainWeighted       = metrics.JainWeighted
-)
-
-// Observability: logical-clock spans, a counter/gauge registry, and
-// Perfetto-exportable Chrome traces. Attach a Tracer through
-// ContinuousOpts.Trace / DisaggOpts.Trace (serving) or SetObs (LLM
-// middleware); a nil Tracer costs nothing.
-type (
-	Tracer      = obs.Tracer
-	TraceSpan   = obs.Span
-	TraceMetric = obs.Metric
-	// DecisionLog records every routing decision of a routed run
-	// (attach via ContinuousOpts.Decisions); ReplayRegret prices each
-	// recorded decision by counterfactual replay.
-	DecisionLog     = obs.DecisionLog
-	RoutingDecision = obs.Decision
-	ForcedChoice    = serving.ForcedChoice
-	ReplayConfig    = serving.ReplayConfig
-	RegretSummary   = serving.RegretSummary
-)
-
-// Observability entry points.
-var (
-	NewTracer      = obs.NewTracer
-	PhaseBreakdown = obs.PhaseBreakdown
-	ReplayRegret   = serving.ReplayRegret
+	DefaultGPU    = serving.DefaultGPU
+	RunContinuous = serving.RunContinuous
+	GenerateTrace = workload.Generate
+	DefaultTrace  = workload.DefaultTrace
 )
 
 // --- Core orchestration (package core) ---
 
-// Hub routes across registered models; Pipeline composes prep stages;
-// Flywheel runs the §2.4 feedback loop.
-type (
-	Hub      = core.Hub
-	Stage    = core.Stage
-	Flywheel = core.Flywheel
-)
+// Stage is one step of a core pipeline.
+type Stage = core.Stage
 
-// Orchestration entry points.
+// Orchestration entry points: NewHub routes across registered models,
+// NewCorePipeline composes prep stages, NewFlywheel runs the §2.4
+// feedback loop.
 var (
 	NewHub          = core.NewHub
 	NewCorePipeline = core.NewPipeline

@@ -81,9 +81,6 @@ type Trace struct {
 	Answer string
 	// Failed reports whether execution aborted before the final step.
 	Failed bool
-	// BackoffMS is the total simulated retry backoff charged across
-	// steps (zero unless WithRetryBackoff configured a backoff).
-	BackoffMS float64
 }
 
 // Option configures an Agent.
@@ -92,19 +89,6 @@ type Option func(*Agent)
 // WithMaxRetries sets per-step retries after a reflection failure
 // (default 1).
 func WithMaxRetries(n int) Option { return func(a *Agent) { a.retrier.MaxRetries = n } }
-
-// WithRetryBackoff charges capped exponential backoff with seeded
-// jitter between step retries (simulated time, surfaced on
-// Trace.BackoffMS — never slept). Without it retries remain immediate
-// and free, the legacy behaviour.
-func WithRetryBackoff(baseMS, maxMS float64, seed uint64) Option {
-	return func(a *Agent) {
-		a.retrier.BaseBackoffMS = baseMS
-		a.retrier.MaxBackoffMS = maxMS
-		a.retrier.JitterFrac = 0.5
-		a.retrier.Seed = seed
-	}
-}
 
 // WithoutReflection disables the self-reflection check; steps are
 // accepted as-is (the ablation arm of E5).
@@ -170,7 +154,7 @@ func (a *Agent) Run(task string, plan []Action) (Trace, error) {
 
 		step := Step{Action: act, Input: input}
 		var out string
-		retries, backMS, err := a.retrier.Do(input, func(int) error {
+		retries, _, err := a.retrier.Do(input, func(int) error {
 			var ierr error
 			out, ierr = tool.Invoke(input)
 			if ierr != nil {
@@ -182,7 +166,6 @@ func (a *Agent) Run(task string, plan []Action) (Trace, error) {
 			return nil
 		})
 		step.Retries = retries
-		tr.BackoffMS += backMS
 		if err != nil {
 			if errors.Is(err, errReflectionReject) {
 				err = fmt.Errorf("%w: step %d output rejected by reflection", ErrStepFailed, i)

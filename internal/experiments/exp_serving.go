@@ -196,7 +196,7 @@ func runE21() (*metrics.Table, error) {
 	t := metrics.NewTable("E21: multi-instance routing (4 instances, 8 shared prefixes)",
 		"router", "prefix hit rate", "prefill tokens", "mean TTFT (ms)", "p95 TTFT")
 	for _, pol := range []serving.RouterPolicy{serving.RoundRobin, serving.CacheAware, serving.BreakerAware} {
-		rep, err := serving.RunRouted(gpu, reqs, 4, pol, serving.ContinuousOpts{})
+		rep, err := serving.RunRoutedFaults(gpu, reqs, 4, pol, serving.ContinuousOpts{}, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -339,10 +339,10 @@ func runE24Workers(workers int) (*Output, error) {
 		err error
 	}
 	cells := sim.Sweep(grid, workers, func(cell int, coords []int) cellOut {
-		rep, err := serving.RunRoutedRecovery(gpu, reqs, 8, serving.BreakerAware,
+		rep, err := serving.RunRoutedAdmission(gpu, reqs, 8, serving.BreakerAware,
 			serving.ContinuousOpts{ChunkTokens: 256},
 			e24Plan(grid.ValueNamed("faults", cell)),
-			e24Recovery(grid.ValueNamed("recovery", cell)))
+			e24Recovery(grid.ValueNamed("recovery", cell)), serving.AdmissionConfig{})
 		return cellOut{rep, err}
 	})
 	t := metrics.NewTable(
@@ -371,9 +371,9 @@ func runE24Workers(workers int) (*Output, error) {
 	var lastTrace *obs.Tracer
 	for _, arm := range grid.Dims[1].Values {
 		tr := obs.NewTracer()
-		if _, err := serving.RunRoutedRecovery(gpu, reqs, 8, serving.BreakerAware,
+		if _, err := serving.RunRoutedAdmission(gpu, reqs, 8, serving.BreakerAware,
 			serving.ContinuousOpts{ChunkTokens: 256, Trace: tr},
-			e24Plan("cascade"), e24Recovery(arm)); err != nil {
+			e24Plan("cascade"), e24Recovery(arm), serving.AdmissionConfig{}); err != nil {
 			return nil, err
 		}
 		if err := tr.Check(); err != nil {

@@ -20,15 +20,6 @@ func Uniform(seed uint64, key string) float64 {
 	return float64(h>>11) / float64(1<<53)
 }
 
-// WindowIndex maps a logical-clock time to its fault-window ordinal for
-// windows of widthMS. Times before zero clamp to window 0.
-func WindowIndex(tMS, widthMS float64) int {
-	if widthMS <= 0 || tMS <= 0 {
-		return 0
-	}
-	return int(tMS / widthMS)
-}
-
 // WindowKey names one (kind, instance, window) cell for Uniform, giving
 // cluster fault plans a shared, collision-free key scheme.
 func WindowKey(kind string, instance, window int) string {

@@ -27,8 +27,8 @@ type Package struct {
 	Fset *token.FileSet
 	// Files are the parsed non-test sources, sorted by file name.
 	Files []*ast.File
-	// Types is the type-checked package (may be incomplete if the source
-	// has type errors — analyzers must tolerate nil type info).
+	// Types is the type-checked package. Loading fails on a type error,
+	// so it is complete.
 	Types *types.Package
 	// Info carries the type-checker's fact tables for Files.
 	Info *types.Info
@@ -510,8 +510,9 @@ var unixOS = map[string]bool{
 
 // TypeCheck type-checks files as one package under importPath, resolving
 // imports through imp (nil means standard library only, from source).
-// Type errors are tolerated: analyzers see whatever facts the checker
-// could compute. The fixture tests use this entry point directly.
+// A type error fails the load with the package and position named: a
+// package that does not compile would otherwise be analyzed on partial
+// facts and pass. The fixture tests use this entry point directly.
 func TypeCheck(fset *token.FileSet, importPath string, files []*ast.File, imp types.Importer) (*Package, error) {
 	if imp == nil {
 		imp = importer.ForCompiler(fset, "source", nil)
@@ -523,11 +524,11 @@ func TypeCheck(fset *token.FileSet, importPath string, files []*ast.File, imp ty
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 		Implicits:  map[ast.Node]types.Object{},
 	}
-	conf := types.Config{
-		Importer: imp,
-		Error:    func(error) {}, // tolerate type errors; facts stay partial
+	conf := types.Config{Importer: imp}
+	tpkg, err := conf.Check(importPath, fset, files, info)
+	if err != nil {
+		return nil, fmt.Errorf("type-checking %s: %w", importPath, err)
 	}
-	tpkg, _ := conf.Check(importPath, fset, files, info)
 	return &Package{
 		ImportPath: importPath,
 		Fset:       fset,

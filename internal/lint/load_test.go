@@ -105,6 +105,28 @@ func TestLoadLegacyPlusBuildConstraint(t *testing.T) {
 	}
 }
 
+// TestLoadFailsOnTypeError pins that a package which does not compile
+// is a load error naming the package and the position, not a package
+// analyzed on partial type facts: a caller of a deleted function in
+// another package must stop the suite, as go vet would.
+func TestLoadFailsOnTypeError(t *testing.T) {
+	dir := t.TempDir()
+	writeTree(t, dir, map[string]string{
+		"go.mod":     "module tmp\n\ngo 1.22\n",
+		"dep/dep.go": "package dep\n\nfunc Kept() int { return 1 }\n",
+		"use/use.go": "package use\n\nimport \"tmp/dep\"\n\nfunc Use() int { return dep.Gone() }\n",
+	})
+	pkgs, _, err := lint.LoadWithReport(dir, "./...")
+	if err == nil {
+		t.Fatalf("LoadWithReport loaded %d packages with a type error, want an error", len(pkgs))
+	}
+	for _, want := range []string{"tmp/use", filepath.Join("use", "use.go") + ":5:", "dep.Gone"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+}
+
 // TestLoadNonRecursiveTestOnlyPattern pins the Load edge case that used
 // to error: naming a test-only package directly (no /... wildcard) must
 // report it, not fail with "no Go files".

@@ -60,10 +60,6 @@ func WithTopK(k int) Option { return func(p *Pipeline) { p.topK = k } }
 // "reranking" among the RAG challenges).
 func WithRerank() Option { return func(p *Pipeline) { p.rerank = true } }
 
-// WithChunker sets the segmentation policy used at ingest (default
-// SentenceChunker with a 48-token budget).
-func WithChunker(c docstore.Chunker) Option { return func(p *Pipeline) { p.chunker = c } }
-
 // WithContextShrink enables graceful degradation on context overflow:
 // when the model rejects the assembled prompt with
 // llm.ErrContextOverflow, the pipeline halves the retrieved context and
@@ -74,14 +70,13 @@ func WithContextShrink() Option { return func(p *Pipeline) { p.shrink = true } }
 
 // Pipeline is a configured RAG stack.
 type Pipeline struct {
-	client  llm.Client
-	emb     embed.Embedder
-	index   vecdb.Index
-	store   *docstore.Store
-	chunker docstore.Chunker
-	topK    int
-	rerank  bool
-	shrink  bool
+	client llm.Client
+	emb    embed.Embedder
+	index  vecdb.Index
+	store  *docstore.Store
+	topK   int
+	rerank bool
+	shrink bool
 }
 
 // New assembles a pipeline from its parts. index must be empty and match
@@ -91,12 +86,11 @@ func New(client llm.Client, emb embed.Embedder, index vecdb.Index, opts ...Optio
 		return nil, fmt.Errorf("rag: embedder dim %d != index dim %d", emb.Dim(), index.Dim())
 	}
 	p := &Pipeline{
-		client:  client,
-		emb:     emb,
-		index:   index,
-		store:   docstore.NewStore(),
-		chunker: docstore.SentenceChunker{MaxTokens: 16},
-		topK:    4,
+		client: client,
+		emb:    emb,
+		index:  index,
+		store:  docstore.NewStore(),
+		topK:   4,
 	}
 	for _, o := range opts {
 		o(p)
@@ -107,10 +101,11 @@ func New(client llm.Client, emb embed.Embedder, index vecdb.Index, opts ...Optio
 	return p, nil
 }
 
-// Ingest chunks, embeds, and indexes the documents.
+// Ingest chunks (sentence-aligned, at most 16 tokens per chunk), embeds,
+// and indexes the documents.
 func (p *Pipeline) Ingest(docs []docstore.Document) error {
 	for _, d := range docs {
-		chunks, err := p.store.AddDocument(d, p.chunker)
+		chunks, err := p.store.AddDocument(d, docstore.SentenceChunker{MaxTokens: 16})
 		if err != nil {
 			return fmt.Errorf("rag: ingest %s: %w", d.ID, err)
 		}

@@ -18,35 +18,21 @@ import "dataai/internal/metrics"
 // wall time, no math/rand.
 
 // RecoveryConfig selects a routed run's crash-recovery policy. The zero
-// value disables all of it, making RunRoutedRecovery byte-identical to
-// RunRoutedFaults: no checkpoints, no migration, unbounded single-tier
-// prefix caches.
+// value disables all of it, making RunRoutedAdmission (with a zero
+// AdmissionConfig) byte-identical to RunRoutedFaults: no checkpoints, no
+// migration, unbounded single-tier prefix caches. The transfer costs
+// are fixed: see ckptMSPerToken, restoreMSPerToken, migrateCheckMS,
+// migrateMSPerToken and prefixXferMSPerToken.
 type RecoveryConfig struct {
 	// CkptEveryIters takes a decode-state checkpoint of every running
 	// sequence each K mixed iterations (0 disables checkpointing).
 	CkptEveryIters int
-	// CkptMSPerToken is the GPU→host write cost per context token newly
-	// covered by a checkpoint, charged on the iteration that carries the
-	// write (default 0.002 ms/token). Host-side DMA: straggler slowdowns
-	// do not scale it.
-	CkptMSPerToken float64
-	// RestoreMSPerToken is the host→GPU transfer cost when a re-routed
-	// sequence resumes from its checkpoint (default 0.005 ms/token). The
-	// restore is priced in prefill-token equivalents, exactly like the
-	// session store's transfer model.
-	RestoreMSPerToken float64
 
 	// Migrate enables live session migration: a deterministic periodic
 	// scan drains the longest running sequence off hot, straggling, or
 	// breaker-open instances and ships it (checkpoint → transfer →
 	// resume) to the least-loaded healthy one.
 	Migrate bool
-	// MigrateCheckMS is the migration scan period (default 500).
-	MigrateCheckMS float64
-	// MigrateMSPerToken is the instance→instance ship cost per context
-	// token (default 0.005 ms/token); the sequence is in transit for
-	// that long before re-queueing at its destination.
-	MigrateMSPerToken float64
 	// HotLoadFactor marks an instance a migration donor when its
 	// outstanding token load exceeds this multiple of the healthy-mean
 	// load (default 2).
@@ -58,42 +44,32 @@ type RecoveryConfig struct {
 	// PrefixGPUTokens > 0 gives each instance a *tiered* prefix cache:
 	// a GPU tier of this capacity backed by PrefixCPUTokens of host
 	// memory. Under pressure, cold prefixes are demoted to the CPU tier
-	// instead of evicted; CPU hits promote back at
-	// PrefixXferMSPerToken fetch cost (default 0.005 ms/token), and the
-	// CPU tier survives instance crashes. 0 keeps the legacy unbounded
-	// single-tier cache.
-	PrefixGPUTokens      int
-	PrefixCPUTokens      int
-	PrefixXferMSPerToken float64
+	// instead of evicted; CPU hits promote back at prefixXferMSPerToken
+	// fetch cost, and the CPU tier survives instance crashes. 0 keeps
+	// the legacy unbounded single-tier cache.
+	PrefixGPUTokens int
+	PrefixCPUTokens int
 }
 
-func (rc RecoveryConfig) ckptMSPerToken() float64 {
-	if rc.CkptMSPerToken > 0 {
-		return rc.CkptMSPerToken
-	}
-	return 0.002
-}
-
-func (rc RecoveryConfig) restoreMSPerToken() float64 {
-	if rc.RestoreMSPerToken > 0 {
-		return rc.RestoreMSPerToken
-	}
-	return 0.005
-}
-
-func (rc RecoveryConfig) migrateCheckMS() float64 {
-	if rc.MigrateCheckMS > 0 {
-		return rc.MigrateCheckMS
-	}
-	return 500
-}
-
-func (rc RecoveryConfig) migrateMSPerToken() float64 {
-	if rc.MigrateMSPerToken > 0 {
-		return rc.MigrateMSPerToken
-	}
-	return 0.005
-}
+const (
+	// ckptMSPerToken is the GPU→host write cost per context token newly
+	// covered by a checkpoint, charged on the iteration that carries the
+	// write. Host-side DMA: straggler slowdowns do not scale it.
+	ckptMSPerToken float64 = 0.002
+	// restoreMSPerToken is the host→GPU transfer cost when a re-routed
+	// sequence resumes from its checkpoint, priced in prefill-token
+	// equivalents exactly like the session store's transfer model.
+	restoreMSPerToken float64 = 0.005
+	// migrateCheckMS is the migration scan period.
+	migrateCheckMS float64 = 500
+	// migrateMSPerToken is the instance→instance ship cost per context
+	// token; the sequence is in transit for that long before
+	// re-queueing at its destination.
+	migrateMSPerToken float64 = 0.005
+	// prefixXferMSPerToken is the CPU→GPU fetch cost of a tiered prefix
+	// cache's CPU-tier hit.
+	prefixXferMSPerToken float64 = 0.005
+)
 
 func (rc RecoveryConfig) hotLoadFactor() float64 {
 	if rc.HotLoadFactor > 0 {
@@ -107,13 +83,6 @@ func (rc RecoveryConfig) migrateMinTokens() int {
 		return rc.MigrateMinTokens
 	}
 	return 16
-}
-
-func (rc RecoveryConfig) prefixXferMSPerToken() float64 {
-	if rc.PrefixXferMSPerToken > 0 {
-		return rc.PrefixXferMSPerToken
-	}
-	return 0.005
 }
 
 // recovery is one routed run's crash-recovery state: the host-side

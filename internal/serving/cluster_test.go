@@ -151,7 +151,7 @@ func TestRoutedSingleInstanceMatchesContinuous(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	routed, err := RunRouted(gpu, reqs, 1, RoundRobin, ContinuousOpts{ChunkTokens: 256})
+	routed, err := RunRoutedFaults(gpu, reqs, 1, RoundRobin, ContinuousOpts{ChunkTokens: 256}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,6 +40,24 @@ func decisionTrace(t *testing.T, seed int64, n int) []workload.Request {
 	return reqs
 }
 
+// leastLoaded returns the instance with the smallest live outstanding
+// token load, skipping exclude (ties break to the lowest index). The
+// live router picks through the scored path (scoreInstances); this
+// direct argmin is the reference the scored CacheAware fallback is
+// differentially tested against.
+func (c *cluster) leastLoaded(exclude int) int {
+	best := -1
+	for i, in := range c.insts {
+		if i == exclude && len(c.insts) > 1 {
+			continue
+		}
+		if best < 0 || in.queueLoad() < c.insts[best].queueLoad() {
+			best = i
+		}
+	}
+	return best
+}
+
 func TestScoredCacheAwareMatchesLeastLoaded(t *testing.T) {
 	// The scored CacheAware fallback must agree with the historical
 	// direct argmin (leastLoaded) on arbitrary load vectors.

@@ -19,31 +19,27 @@ import (
 //   - Crashes: at the start of a window whose crash draw fires, the
 //     instance goes down for CrashDownMS, dropping every in-flight
 //     sequence (their KV and GPU-resident caches die with the device);
-//     after DetectMS the router observes the failure and re-routes the
-//     dropped sequences to surviving instances.
+//     faultDetectMS later the router observes the failure and re-routes
+//     the dropped sequences to surviving instances.
 //   - Stragglers: during a window whose straggler draw fires, the
 //     instance's iteration costs are scaled by StragglerFactor — the
 //     GPU is alive but slow (thermal throttling, a noisy neighbour).
 //   - KV-transfer failures (disagg path): a transfer draw can lose a
 //     prefill→decode shipment, which is retried at full transfer cost.
 //
-// A plan may additionally carry a failure *topology* (RackSize /
-// RacksPerZone): crash draws then correlate within a rack or zone, and
-// OverloadAlpha adds a post-crash cascade that slows the survivors.
+// Windows are faultWindowMS wide. A plan may additionally carry a
+// failure *topology* (RackSize): crash draws then correlate within a
+// rack, and OverloadAlpha adds a post-crash cascade that slows the
+// survivors.
 type FaultPlan struct {
 	// Seed drives every draw.
 	Seed uint64
-	// WindowMS is the fault-window width (default 2000).
-	WindowMS float64
 	// CrashProb is the per-(instance, window) probability of a crash at
 	// the window boundary.
 	CrashProb float64
 	// CrashDownMS is how long a crashed instance stays down (default
 	// 1500).
 	CrashDownMS float64
-	// DetectMS is the failure-detection delay before dropped sequences
-	// are re-routed (default 50).
-	DetectMS float64
 	// StragglerProb is the per-(instance, window) probability the
 	// instance runs slow for that window.
 	StragglerProb float64
@@ -59,14 +55,8 @@ type FaultPlan struct {
 	// window) draw of RackCrashProb crashes the whole rack at once —
 	// the correlated-domain regime where recovery policies separate
 	// hardest. 0 keeps every draw independent.
-	RackSize int
-	// RacksPerZone > 0 adds a second correlation level: racks are
-	// grouped into zones, and a per-(zone, window) draw of
-	// ZoneCrashProb takes the whole zone down (a power or network
-	// domain failure).
-	RacksPerZone  int
+	RackSize      int
 	RackCrashProb float64
-	ZoneCrashProb float64
 	// OverloadAlpha > 0 models the post-crash cascade: while d of the
 	// cluster's n instances are down, every survivor's iteration cost is
 	// scaled by 1 + OverloadAlpha·d/(n−d) — the rerouted load makes the
@@ -116,25 +106,21 @@ func CascadeFaultPlan(seed uint64, rackSize int) *FaultPlan {
 	return p
 }
 
-func (p *FaultPlan) windowMS() float64 {
-	if p.WindowMS > 0 {
-		return p.WindowMS
-	}
-	return 2000
-}
+const (
+	// faultWindowMS is the fault-window width.
+	faultWindowMS float64 = 2000
+	// faultDetectMS is the failure-detection delay before a crash's
+	// dropped sequences are re-routed. It is the same for every crash,
+	// so crash reroutes fire in crash order: cluster.reroute's shared
+	// FIFO depends on it.
+	faultDetectMS float64 = 50
+)
 
 func (p *FaultPlan) crashDownMS() float64 {
 	if p.CrashDownMS > 0 {
 		return p.CrashDownMS
 	}
 	return 1500
-}
-
-func (p *FaultPlan) detectMS() float64 {
-	if p.DetectMS > 0 {
-		return p.DetectMS
-	}
-	return 50
 }
 
 func (p *FaultPlan) stragglerFactor() float64 {
@@ -148,9 +134,9 @@ func (p *FaultPlan) stragglerFactor() float64 {
 }
 
 // crashAt reports whether instance crashes at the start of window w:
-// its independent draw, then its rack's, then its zone's. The
-// independent draw fires first and uses the exact key it always did, so
-// plans without a topology keep byte-identical fault sequences.
+// its independent draw, then its rack's. The independent draw fires
+// first and uses the exact key it always did, so plans without a
+// topology keep byte-identical fault sequences.
 func (p *FaultPlan) crashAt(instance, w int) bool {
 	if p == nil {
 		return false
@@ -158,18 +144,8 @@ func (p *FaultPlan) crashAt(instance, w int) bool {
 	if p.CrashProb > 0 && faults.Uniform(p.Seed, faults.WindowKey("crash", instance, w)) < p.CrashProb {
 		return true
 	}
-	if p.RackSize <= 0 {
-		return false
-	}
-	rack := instance / p.RackSize
-	if p.RackCrashProb > 0 && faults.Uniform(p.Seed, faults.WindowKey("rackcrash", rack, w)) < p.RackCrashProb {
-		return true
-	}
-	if p.RacksPerZone > 0 && p.ZoneCrashProb > 0 &&
-		faults.Uniform(p.Seed, faults.WindowKey("zonecrash", rack/p.RacksPerZone, w)) < p.ZoneCrashProb {
-		return true
-	}
-	return false
+	return p.RackSize > 0 && p.RackCrashProb > 0 &&
+		faults.Uniform(p.Seed, faults.WindowKey("rackcrash", instance/p.RackSize, w)) < p.RackCrashProb
 }
 
 // overloadFactor is the cascade multiplier applied to every surviving

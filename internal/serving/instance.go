@@ -46,7 +46,8 @@ type instance struct {
 	// router reads it on every routing decision, so recomputing it by
 	// scanning the queues is quadratic under backlog; instead every
 	// ownership change and every seqLoad-relevant field mutation adjusts
-	// it in place. queueLoadScan is the reference implementation.
+	// it in place. The tests' queueLoadScan is the reference
+	// implementation.
 	load int
 
 	// busy is true while an iteration-end event is scheduled.
@@ -134,25 +135,9 @@ func seqLoad(s *seqState) int {
 
 // queueLoad is the router's live-load signal: tokens of outstanding work
 // across every sequence the instance currently owns, waiting included.
-// It is O(1): the load field tracks the queueLoadScan sum exactly.
+// It is O(1): the load field tracks the sum of seqLoad over the queues
+// exactly.
 func (in *instance) queueLoad() int { return in.load }
-
-// queueLoadScan recomputes queueLoad from scratch. It exists as the
-// reference the incremental counter is tested against; the hot path
-// never calls it.
-func (in *instance) queueLoadScan() int {
-	load := 0
-	for i := 0; i < in.waiting.Len(); i++ {
-		load += seqLoad(in.waiting.At(i))
-	}
-	for i := 0; i < in.prefillQ.Len(); i++ {
-		load += seqLoad(in.prefillQ.At(i))
-	}
-	for _, s := range in.running {
-		load += seqLoad(s)
-	}
-	return load
-}
 
 // queueDepth is the router's congestion signal: sequences owned.
 func (in *instance) queueDepth() int { return in.waiting.Len() + in.active() }
@@ -223,7 +208,7 @@ func (in *instance) admit(now float64, s *seqState) bool {
 					// prefill-token equivalents like every other
 					// transfer in the store.
 					cover = ctx
-					restore = int(float64(ctx) * in.rec.cfg.restoreMSPerToken() * in.gpu.PrefillTokensPerMS)
+					restore = int(float64(ctx) * restoreMSPerToken * in.gpu.PrefillTokensPerMS)
 					resumed = ctx
 				}
 			}
@@ -376,7 +361,7 @@ func (in *instance) step(now float64) {
 				delta += in.rec.save(rs.req.ID, rs.req.PromptTokens+rs.generated)
 			}
 			if delta > 0 {
-				ckptMS = float64(delta) * in.rec.cfg.ckptMSPerToken()
+				ckptMS = float64(delta) * ckptMSPerToken
 				if in.trace != nil {
 					in.trace.Registry().Counter(in.track+"/ckpt_tokens").Add(now, float64(delta))
 				}

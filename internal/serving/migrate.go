@@ -3,9 +3,9 @@ package serving
 import "dataai/internal/resilient"
 
 // Live session migration: a deterministic periodic scan (every
-// RecoveryConfig.MigrateCheckMS of logical time) that drains long
-// sequences off distressed instances — straggling, breaker-open, or
-// carrying far more than their share of load — and ships them
+// migrateCheckMS of logical time) that drains long sequences off
+// distressed instances — straggling, breaker-open, or carrying far
+// more than their share of load — and ships them
 // (checkpoint → transfer → resume) to the least-loaded healthy
 // instance. Every decision reads only cluster state at the scan
 // instant, so runs are byte-identical across repetitions and worker
@@ -124,7 +124,7 @@ func (c *cluster) migrate(now float64, from, to int, v *seqState) {
 	// Ship the checkpoint delta (context not yet on the host) plus the
 	// full context over the interconnect.
 	delta := c.rec.save(v.req.ID, ctx)
-	shipMS := float64(ctx)*c.rec.cfg.migrateMSPerToken() + float64(delta)*c.rec.cfg.ckptMSPerToken()
+	shipMS := float64(ctx)*migrateMSPerToken + float64(delta)*ckptMSPerToken
 	v.admitted = false
 	v.preempted = false
 	v.saved = 0
@@ -145,10 +145,9 @@ func (c *cluster) migrate(now float64, from, to int, v *seqState) {
 // stopping (like the fault-window driver) once the trace is fully
 // resolved.
 func (c *cluster) scheduleMigration() {
-	period := c.rec.cfg.migrateCheckMS()
 	var scanAt func(k int)
 	scanAt = func(k int) {
-		c.eng.At(float64(k)*period, func(now float64) {
+		c.eng.At(float64(k)*migrateCheckMS, func(now float64) {
 			if c.pending == 0 {
 				return
 			}

@@ -20,6 +20,22 @@ func recoveryArms() map[string]RecoveryConfig {
 	}
 }
 
+// queueLoadScan recomputes queueLoad from scratch. It is the
+// reference the incremental load counter is tested against.
+func (in *instance) queueLoadScan() int {
+	load := 0
+	for i := 0; i < in.waiting.Len(); i++ {
+		load += seqLoad(in.waiting.At(i))
+	}
+	for i := 0; i < in.prefillQ.Len(); i++ {
+		load += seqLoad(in.prefillQ.At(i))
+	}
+	for _, s := range in.running {
+		load += seqLoad(s)
+	}
+	return load
+}
+
 // TestPostDrainInvariants is the leak check behind every fault plan:
 // once a routed run returns, no instance may still hold KV blocks, the
 // sequence pool must have every seqState back (outstanding == 0), and
@@ -63,8 +79,9 @@ func TestPostDrainInvariants(t *testing.T) {
 }
 
 // TestRecoveryZeroConfigMatchesFaults pins the compatibility seam:
-// RunRoutedRecovery with a zero RecoveryConfig is the same simulation
-// as RunRoutedFaults, report and all.
+// RunRoutedAdmission with a zero RecoveryConfig and a zero
+// AdmissionConfig is the same simulation as RunRoutedFaults, report and
+// all.
 func TestRecoveryZeroConfigMatchesFaults(t *testing.T) {
 	reqs := prefixTrace(t, 47)
 	old, err := RunRoutedFaults(DefaultGPU(), reqs, 4, BreakerAware,
@@ -72,8 +89,8 @@ func TestRecoveryZeroConfigMatchesFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := RunRoutedRecovery(DefaultGPU(), reqs, 4, BreakerAware,
-		ContinuousOpts{ChunkTokens: 256}, SevereFaultPlan(2303), RecoveryConfig{})
+	rec, err := RunRoutedAdmission(DefaultGPU(), reqs, 4, BreakerAware,
+		ContinuousOpts{ChunkTokens: 256}, SevereFaultPlan(2303), RecoveryConfig{}, AdmissionConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,13 +140,13 @@ func TestCheckpointStore(t *testing.T) {
 func TestCheckpointCutsWastedRecompute(t *testing.T) {
 	reqs := prefixTrace(t, 47)
 	plan := SevereFaultPlan(2303)
-	base, err := RunRoutedRecovery(DefaultGPU(), reqs, 4, BreakerAware,
-		ContinuousOpts{ChunkTokens: 256}, plan, RecoveryConfig{})
+	base, err := RunRoutedAdmission(DefaultGPU(), reqs, 4, BreakerAware,
+		ContinuousOpts{ChunkTokens: 256}, plan, RecoveryConfig{}, AdmissionConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck, err := RunRoutedRecovery(DefaultGPU(), reqs, 4, BreakerAware,
-		ContinuousOpts{ChunkTokens: 256}, plan, RecoveryConfig{CkptEveryIters: 8})
+	ck, err := RunRoutedAdmission(DefaultGPU(), reqs, 4, BreakerAware,
+		ContinuousOpts{ChunkTokens: 256}, plan, RecoveryConfig{CkptEveryIters: 8}, AdmissionConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,8 +183,8 @@ func TestMigrationTraceInvariants(t *testing.T) {
 	tr := obs.NewTracer()
 	rec := RecoveryConfig{CkptEveryIters: 8, Migrate: true, MigrateMinTokens: 64,
 		PrefixGPUTokens: 1024, PrefixCPUTokens: 8192}
-	rep, err := RunRoutedRecovery(DefaultGPU(), reqs, 8, BreakerAware,
-		ContinuousOpts{ChunkTokens: 256, Trace: tr}, CascadeFaultPlan(2403, 4), rec)
+	rep, err := RunRoutedAdmission(DefaultGPU(), reqs, 8, BreakerAware,
+		ContinuousOpts{ChunkTokens: 256, Trace: tr}, CascadeFaultPlan(2403, 4), rec, AdmissionConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,8 +221,8 @@ func TestMigrationDeterministic(t *testing.T) {
 	reqs := prefixTrace(t, 83)
 	rec := RecoveryConfig{CkptEveryIters: 8, Migrate: true, PrefixGPUTokens: 1024, PrefixCPUTokens: 8192}
 	run := func() *RoutedReport {
-		rep, err := RunRoutedRecovery(DefaultGPU(), reqs, 4, BreakerAware,
-			ContinuousOpts{ChunkTokens: 256}, CascadeFaultPlan(2303, 2), rec)
+		rep, err := RunRoutedAdmission(DefaultGPU(), reqs, 4, BreakerAware,
+			ContinuousOpts{ChunkTokens: 256}, CascadeFaultPlan(2303, 2), rec, AdmissionConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -201,8 +201,8 @@ type cluster struct {
 	rankBuf []int
 
 	// dropped holds crash-dropped sequences awaiting their reroute, in
-	// drop order. Each crash schedules one rerouteH event, a constant
-	// detection delay later, whose argument packs the crashed instance
+	// drop order. Each crash schedules one rerouteH event, the constant
+	// faultDetectMS later, whose argument packs the crashed instance
 	// and how many sequences it dropped; the events therefore fire in
 	// crash order and each pops its own sequences off the FIFO's head.
 	// A crash reroute allocates nothing.
@@ -245,24 +245,6 @@ func (c *cluster) affinity(r *workload.Request) int {
 		return int(token.Hash64(r.Session) % uint64(n))
 	}
 	return -1
-}
-
-// leastLoaded returns the instance with the smallest live outstanding
-// token load, skipping exclude (ties break to the lowest index). The
-// live router now picks through the scored path (scoreInstances);
-// this direct argmin survives as the reference the scored CacheAware
-// fallback is differentially tested against.
-func (c *cluster) leastLoaded(exclude int) int {
-	best := -1
-	for i, in := range c.insts {
-		if i == exclude && len(c.insts) > 1 {
-			continue
-		}
-		if best < 0 || in.queueLoad() < c.insts[best].queueLoad() {
-			best = i
-		}
-	}
-	return best
 }
 
 // route picks the instance for a request arriving now. exclude is the
@@ -475,44 +457,39 @@ func (c *cluster) rerouteAttrs(from, to int) []obs.Attr {
 	return []obs.Attr{obs.I("from", int64(from)), obs.I("to", int64(to))}
 }
 
-// RunRouted serves the trace on n instances behind an online router:
-// every request is assigned at its arrival instant from the cluster's
-// live state (queue load, breaker state, cache affinity), with all
-// instances sharing one discrete-event clock. Every instance gets its
-// own prefix cache (and session store when sessions appear in the
-// trace); the routing policy decides which instance's cache a request
-// can hit.
-func RunRouted(gpu GPUConfig, reqs []workload.Request, n int, policy RouterPolicy, opts ContinuousOpts) (*RoutedReport, error) {
-	return RunRoutedFaults(gpu, reqs, n, policy, opts, nil)
-}
-
-// RunRoutedFaults is RunRouted under a cluster fault plan: instances
-// crash and recover on seeded windows (dropping their in-flight
-// sequences back through the router after a detection delay), straggler
-// windows slow them down, and per-instance circuit breakers observe the
-// failures — which the BreakerAware policy folds into its routing score.
-// A nil plan injects nothing. Crashed sequences recompute from token
-// zero; see RunRoutedRecovery for checkpointed recovery.
+// RunRoutedFaults serves the trace on n instances behind an online
+// router under a cluster fault plan. Every request is assigned at its
+// arrival instant from the cluster's live state (queue load, breaker
+// state, cache affinity), with all instances sharing one discrete-event
+// clock. Every instance gets its own prefix cache (and session store
+// when sessions appear in the trace); the routing policy decides which
+// instance's cache a request can hit.
+//
+// Under the plan, instances crash and recover on seeded windows
+// (dropping their in-flight sequences back through the router after a
+// detection delay), straggler windows slow them down, and per-instance
+// circuit breakers observe the failures — which the BreakerAware policy
+// folds into its routing score. A nil plan injects nothing. Crashed
+// sequences recompute from token zero; RunRoutedAdmission adds
+// checkpointed recovery and admission control.
 func RunRoutedFaults(gpu GPUConfig, reqs []workload.Request, n int, policy RouterPolicy, opts ContinuousOpts, plan *FaultPlan) (*RoutedReport, error) {
-	return RunRoutedRecovery(gpu, reqs, n, policy, opts, plan, RecoveryConfig{})
-}
-
-// RunRoutedRecovery is RunRoutedFaults with a crash-recovery policy:
-// periodic decode-state checkpoints let re-routed sequences resume from
-// host memory instead of recomputing, live migration drains long
-// sessions off distressed instances, and tiered prefix caches demote
-// cold prefixes to a crash-surviving CPU tier under pressure (see
-// RecoveryConfig). A zero rec reproduces RunRoutedFaults byte for byte.
-func RunRoutedRecovery(gpu GPUConfig, reqs []workload.Request, n int, policy RouterPolicy, opts ContinuousOpts, plan *FaultPlan, rec RecoveryConfig) (*RoutedReport, error) {
-	rep, _, err := runRoutedCluster(gpu, reqs, n, policy, opts, plan, rec, AdmissionConfig{})
+	rep, _, err := runRoutedCluster(gpu, reqs, n, policy, opts, plan, RecoveryConfig{}, AdmissionConfig{})
 	return rep, err
 }
 
-// RunRoutedAdmission is RunRoutedRecovery with per-tenant token-bucket
-// admission control at the router: each tenant's trace-token demand
-// (prompt + output) is charged against a weighted bucket, and requests
-// the bucket cannot cover are rejected or held per adm.Policy before any
-// instance sees them. A zero adm reproduces RunRoutedRecovery byte for
+// RunRoutedAdmission is RunRoutedFaults with a crash-recovery policy and
+// per-tenant token-bucket admission control at the router.
+//
+// The recovery policy (see RecoveryConfig): periodic decode-state
+// checkpoints let re-routed sequences resume from host memory instead of
+// recomputing, live migration drains long sessions off distressed
+// instances, and tiered prefix caches demote cold prefixes to a
+// crash-surviving CPU tier under pressure.
+//
+// Admission: each tenant's trace-token demand (prompt + output) is
+// charged against a weighted bucket, and requests the bucket cannot
+// cover are rejected or held per adm.Policy before any instance sees
+// them. A zero rec and a zero adm reproduce RunRoutedFaults byte for
 // byte.
 func RunRoutedAdmission(gpu GPUConfig, reqs []workload.Request, n int, policy RouterPolicy, opts ContinuousOpts, plan *FaultPlan, rec RecoveryConfig, adm AdmissionConfig) (*RoutedReport, error) {
 	rep, _, err := runRoutedCluster(gpu, reqs, n, policy, opts, plan, rec, adm)
@@ -573,7 +550,7 @@ func runRoutedCluster(gpu GPUConfig, reqs []workload.Request, n int, policy Rout
 			c.prefixes[i] = NewTieredPrefixCache(PrefixCacheConfig{
 				GPUCapacityTokens:  rec.PrefixGPUTokens,
 				CPUCapacityTokens:  rec.PrefixCPUTokens,
-				TransferMSPerToken: rec.prefixXferMSPerToken(),
+				TransferMSPerToken: prefixXferMSPerToken,
 				PrefillTokensPerMS: gpu.PrefillTokensPerMS,
 			})
 		} else {
@@ -605,7 +582,7 @@ func runRoutedCluster(gpu GPUConfig, reqs []workload.Request, n int, policy Rout
 			for _, s := range dropped {
 				c.dropped.PushBack(s)
 			}
-			c.eng.AtArg(now+plan.detectMS(), c.rerouteH, uint64(i)<<32|uint64(len(dropped)))
+			c.eng.AtArg(now+faultDetectMS, c.rerouteH, uint64(i)<<32|uint64(len(dropped)))
 		}
 	}
 	c.rerouteH = c.reroute
@@ -656,7 +633,7 @@ func runRoutedCluster(gpu GPUConfig, reqs []workload.Request, n int, policy Rout
 	if plan != nil {
 		var windowAt func(w int)
 		windowAt = func(w int) {
-			c.eng.At(float64(w)*plan.windowMS(), func(now float64) {
+			c.eng.At(float64(w)*faultWindowMS, func(now float64) {
 				if c.pending == 0 {
 					return // trace fully resolved: stop driving windows
 				}
@@ -671,7 +648,7 @@ func runRoutedCluster(gpu GPUConfig, reqs []workload.Request, n int, policy Rout
 							c.trace.Registry().Counter("router/crashes").Add(now, 1)
 						}
 						in.crash(now)
-						c.eng.At(now+plan.detectMS(), func(t float64) {
+						c.eng.At(now+faultDetectMS, func(t float64) {
 							// Health check: the detector notices the dead
 							// instance even when nothing was in flight.
 							c.breakers[i].OnFailure(t)

@@ -23,7 +23,7 @@ func prefixTrace(t *testing.T, seed int64) []workload.Request {
 }
 
 func TestRunRoutedValidation(t *testing.T) {
-	if _, err := RunRouted(DefaultGPU(), nil, 0, RoundRobin, ContinuousOpts{}); !errors.Is(err, ErrConfig) {
+	if _, err := RunRoutedFaults(DefaultGPU(), nil, 0, RoundRobin, ContinuousOpts{}, nil); !errors.Is(err, ErrConfig) {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -34,11 +34,11 @@ func TestCacheAwareRoutingBeatsRoundRobinOnPrefixes(t *testing.T) {
 	// once per instance.
 	gpu := DefaultGPU()
 	reqs := prefixTrace(t, 41)
-	rr, err := RunRouted(gpu, reqs, 4, RoundRobin, ContinuousOpts{})
+	rr, err := RunRoutedFaults(gpu, reqs, 4, RoundRobin, ContinuousOpts{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ca, err := RunRouted(gpu, reqs, 4, CacheAware, ContinuousOpts{})
+	ca, err := RunRoutedFaults(gpu, reqs, 4, CacheAware, ContinuousOpts{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,11 +63,11 @@ func TestRoutedSessionsStayTogether(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, err := RunRouted(gpu, reqs, 4, RoundRobin, ContinuousOpts{})
+	rr, err := RunRoutedFaults(gpu, reqs, 4, RoundRobin, ContinuousOpts{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ca, err := RunRouted(gpu, reqs, 4, CacheAware, ContinuousOpts{})
+	ca, err := RunRoutedFaults(gpu, reqs, 4, CacheAware, ContinuousOpts{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +81,11 @@ func TestRoutedSessionsStayTogether(t *testing.T) {
 func TestRoutedDeterministic(t *testing.T) {
 	gpu := DefaultGPU()
 	reqs := prefixTrace(t, 47)
-	a, err := RunRouted(gpu, reqs, 3, CacheAware, ContinuousOpts{})
+	a, err := RunRoutedFaults(gpu, reqs, 3, CacheAware, ContinuousOpts{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunRouted(gpu, reqs, 3, CacheAware, ContinuousOpts{})
+	b, err := RunRoutedFaults(gpu, reqs, 3, CacheAware, ContinuousOpts{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

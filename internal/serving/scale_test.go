@@ -82,8 +82,8 @@ func TestMigrationUnderFaultsScale(t *testing.T) {
 		PrefixGPUTokens: 2048, PrefixCPUTokens: 16384,
 	}
 	run := func() *RoutedReport {
-		rep, err := RunRoutedRecovery(DefaultGPU(), reqs, instances, BreakerAware,
-			ContinuousOpts{ChunkTokens: 256}, CascadeFaultPlan(2403, 10), rec)
+		rep, err := RunRoutedAdmission(DefaultGPU(), reqs, instances, BreakerAware,
+			ContinuousOpts{ChunkTokens: 256}, CascadeFaultPlan(2403, 10), rec, AdmissionConfig{})
 		if err != nil {
 			t.Error(err)
 			return nil

@@ -19,7 +19,8 @@
 // workloads produce, push and pop are amortized O(1) instead of the
 // O(log n) of a single binary heap, and neither path allocates in steady
 // state. The seed's container/heap queue is kept as a reference
-// implementation (refheap.go) for differential tests and benchmarks.
+// implementation (refheap_test.go) for differential tests and
+// benchmarks.
 package sim
 
 // Handler is an event callback. now is the event's firing time on the
@@ -59,8 +60,9 @@ func eventCmp(a, b event) int {
 	return 1
 }
 
-// eventQueue is the priority-queue contract both implementations
-// satisfy: pop returns events in (time, seq) order.
+// eventQueue is the priority-queue contract the calendar queue and the
+// tests' reference heap both satisfy: pop returns events in (time, seq)
+// order.
 type eventQueue interface {
 	push(e event)
 	pop() (event, bool)
@@ -81,13 +83,6 @@ type Engine struct {
 // queue.
 func NewEngine() *Engine {
 	return &Engine{queue: newCalQueue()}
-}
-
-// newHeapEngine returns an engine backed by the seed's container/heap
-// queue. It is the reference implementation the differential tests and
-// the BENCH_sim baseline run against; production callers use NewEngine.
-func newHeapEngine() *Engine {
-	return &Engine{queue: &heapQueue{}}
 }
 
 // Now is the current logical time in milliseconds: the firing time of

@@ -38,6 +38,12 @@ echo "== dataailint -fix idempotence (no edits on a clean tree)"
 go run ./cmd/dataailint -fix ./...
 git diff --exit-code
 
+echo "== perfbench (nested module: vet + tests)"
+# perfbench is a module of its own (dataai/perfbench, replace dataai =>
+# ../), so every root ./... pattern above skips it. Build and test it
+# here, or an API change it depends on breaks the benchmark unseen.
+(cd perfbench && go vet ./... && go test -count=1 ./...)
+
 echo "== go test -race ./..."
 go test -race ./...
 
